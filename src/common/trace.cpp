@@ -135,12 +135,6 @@ CounterSnapshot Counters::snapshot() const {
   s.pagestore_pages = pagestore_pages.load(std::memory_order_relaxed);
   s.pagestore_bytes = pagestore_bytes.load(std::memory_order_relaxed);
   s.pagestore_evicted = pagestore_evicted.load(std::memory_order_relaxed);
-  s.branches_pruned = branches_pruned.load(std::memory_order_relaxed);
-  s.prune_table_entries =
-      prune_table_entries.load(std::memory_order_relaxed);
-  s.fingerprints = fingerprints.load(std::memory_order_relaxed);
-  s.prune_settle_ns = prune_settle_ns.load(std::memory_order_relaxed);
-  s.prune_skipped_ns = prune_skipped_ns.load(std::memory_order_relaxed);
   s.hash_collisions = hash_collisions.load(std::memory_order_relaxed);
   s.hash_chain_max = hash_chain_max.load(std::memory_order_relaxed);
   s.dist_units_sent = dist_units_sent.load(std::memory_order_relaxed);
@@ -180,11 +174,6 @@ void Counters::reset() {
   pagestore_pages.store(0, std::memory_order_relaxed);
   pagestore_bytes.store(0, std::memory_order_relaxed);
   pagestore_evicted.store(0, std::memory_order_relaxed);
-  branches_pruned.store(0, std::memory_order_relaxed);
-  prune_table_entries.store(0, std::memory_order_relaxed);
-  fingerprints.store(0, std::memory_order_relaxed);
-  prune_settle_ns.store(0, std::memory_order_relaxed);
-  prune_skipped_ns.store(0, std::memory_order_relaxed);
   hash_collisions.store(0, std::memory_order_relaxed);
   hash_chain_max.store(0, std::memory_order_relaxed);
   dist_units_sent.store(0, std::memory_order_relaxed);
@@ -342,11 +331,6 @@ std::string Tracer::chrome_json() const {
       {"pagestore_pages", c.pagestore_pages},
       {"pagestore_bytes", c.pagestore_bytes},
       {"pagestore_evicted", c.pagestore_evicted},
-      {"branches_pruned", c.branches_pruned},
-      {"prune_table_entries", c.prune_table_entries},
-      {"fingerprints", c.fingerprints},
-      {"prune_settle_ns", c.prune_settle_ns},
-      {"prune_skipped_ns", c.prune_skipped_ns},
       {"hash_collisions", c.hash_collisions},
       {"hash_chain_max", c.hash_chain_max},
       {"dist_units_sent", c.dist_units_sent},

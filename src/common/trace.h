@@ -75,11 +75,6 @@ std::string_view clock_name(Clock c);
   X(pagestore_pages)             \
   X(pagestore_bytes)             \
   X(pagestore_evicted)           \
-  X(branches_pruned)             \
-  X(prune_table_entries)         \
-  X(fingerprints)                \
-  X(prune_settle_ns)             \
-  X(prune_skipped_ns)            \
   X(hash_collisions)             \
   X(hash_chain_max)              \
   X(dist_units_sent)             \
@@ -96,7 +91,7 @@ std::string_view clock_name(Clock c);
   X(advance_ns)                  \
   X(dropped_events)
 
-inline constexpr std::size_t kCounterFieldCount = 39;
+inline constexpr std::size_t kCounterFieldCount = 34;
 
 /// Plain-value copy of the counter set at one moment.
 struct CounterSnapshot {
@@ -119,11 +114,6 @@ struct CounterSnapshot {
   std::uint64_t pagestore_pages = 0;  ///< occupancy gauge (latest, not a sum)
   std::uint64_t pagestore_bytes = 0;  ///< occupancy gauge (latest, not a sum)
   std::uint64_t pagestore_evicted = 0;  ///< pages reclaimed between scans
-  std::uint64_t branches_pruned = 0;  ///< branches served by the prune table
-  std::uint64_t prune_table_entries = 0;  ///< gauge: canonical fingerprints
-  std::uint64_t fingerprints = 0;     ///< fleet fingerprints computed
-  std::uint64_t prune_settle_ns = 0;  ///< virtual time run to the settle point
-  std::uint64_t prune_skipped_ns = 0; ///< virtual time pruning avoided
   std::uint64_t hash_collisions = 0;  ///< digest matches settled by bytes
   std::uint64_t hash_chain_max = 0;   ///< gauge: longest collision chain seen
   std::uint64_t dist_units_sent = 0;  ///< work units granted to workers
@@ -168,11 +158,6 @@ struct Counters {
   std::atomic<std::uint64_t> pagestore_pages{0};
   std::atomic<std::uint64_t> pagestore_bytes{0};
   std::atomic<std::uint64_t> pagestore_evicted{0};
-  std::atomic<std::uint64_t> branches_pruned{0};
-  std::atomic<std::uint64_t> prune_table_entries{0};
-  std::atomic<std::uint64_t> fingerprints{0};
-  std::atomic<std::uint64_t> prune_settle_ns{0};
-  std::atomic<std::uint64_t> prune_skipped_ns{0};
   std::atomic<std::uint64_t> hash_collisions{0};
   std::atomic<std::uint64_t> hash_chain_max{0};
   std::atomic<std::uint64_t> dist_units_sent{0};

@@ -57,7 +57,9 @@ enum class FrameType : std::uint8_t {
 constexpr std::uint32_t kFrameMagic = 0x31464454;  // "TDF1"
 constexpr std::uint32_t kMaxFramePayload = 256u << 20;
 // v2: ResultMsg carries an optional telemetry CounterSnapshot delta.
-constexpr std::uint32_t kProtocolVersion = 2;
+// v3: branch-result payloads carry every window field inline, and the
+// counter snapshot is five counters shorter.
+constexpr std::uint32_t kProtocolVersion = 3;
 
 struct Frame {
   FrameType type = FrameType::kHello;

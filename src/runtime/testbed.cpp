@@ -1,13 +1,11 @@
 #include "runtime/testbed.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <unordered_map>
 
 #include "common/check.h"
 #include "common/fault.h"
-#include "common/hash.h"
 #include "common/log.h"
 #include "common/trace.h"
 
@@ -399,86 +397,6 @@ Bytes Testbed::save_snapshot() {
                             std::memory_order_relaxed);
   }
   return blob;
-}
-
-Digest128 Testbed::fleet_fingerprint(Time from_time, Time horizon) {
-  // Same stop-the-world discipline as save_snapshot, minus any serialization
-  // of the full system: freeze, walk, resume. Nothing here perturbs future
-  // execution, so a branch that continues running afterwards behaves exactly
-  // as if the fingerprint had never been taken.
-  emu_.freeze();
-  for (auto& vm : vms_) vm->pause();
-
-  std::vector<Bytes> states;
-  states.reserve(vms_.size());
-  for (const auto& vm : vms_) {
-    serial::Writer section;
-    vm->save(section);
-    states.push_back(section.take());
-  }
-
-  Hasher128 h;
-  const bool images = cfg_.snapshot.mode != vm::SnapshotMode::kPlain ||
-                      cfg_.snapshot.model_memory;
-  if (images) {
-    // Merkle-style fold over per-page content hashes. Clean pages reuse the
-    // cached store key from the snapshot this branch was restored from (or
-    // its last save) — zero rehashing; only pages dirtied since then are
-    // hashed. Page keys are 64-bit, so the backstop against a page-level
-    // collision is the 128-bit combine plus the emulator/timer/metric state
-    // folded in below, not a byte compare (documented in DESIGN.md §5f).
-    sync_images(states);
-    h.update_u64(images_.size());
-    for (std::size_t i = 0; i < images_.size(); ++i) {
-      const vm::MemoryImage& img = images_[i];
-      std::vector<CachedRef>& refs = refs_[i];
-      refs.resize(img.page_count());
-      h.update_u64(img.page_count());
-      for (std::size_t p = 0; p < img.page_count(); ++p) {
-        if (refs[p].valid && !img.dirty(p)) {
-          h.update_u64(refs[p].ref.hash);
-        } else {
-          h.update_u64(img.page_hash(p));
-        }
-      }
-    }
-  } else {
-    h.update_u64(states.size());
-    for (const Bytes& s : states) {
-      h.update_u64(s.size());
-      h.update(s);
-    }
-  }
-
-  emu_.fingerprint(h, horizon);
-
-  // Timer generations disambiguate pending kTimer events (a stale generation
-  // means "cancelled"); two branches with identical queues but different
-  // cancellation state must not collapse.
-  h.update_u64(timer_gen_.size());
-  for (const auto& [key, gen] : timer_gen_) {
-    h.update_u64(key.first);
-    h.update_u64(key.second);
-    h.update_u64(gen);
-  }
-
-  // Metric samples from the injection on feed the branch's window
-  // measurements; earlier history is identical by construction (both
-  // branches restored the same snapshot).
-  for (const std::string& name : metrics_.metric_names()) {
-    const std::vector<MetricPoint> pts =
-        metrics_.points(name, from_time, horizon);
-    h.update(std::string_view(name));
-    h.update_u64(pts.size());
-    for (const MetricPoint& p : pts) {
-      h.update_i64(p.t);
-      h.update_u64(std::bit_cast<std::uint64_t>(p.v));
-    }
-  }
-
-  for (auto& vm : vms_) vm->resume();
-  emu_.resume();
-  return h.digest();
 }
 
 DecodedSnapshot Testbed::decode_snapshot(BytesView snapshot,

@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/types.h"
 #include "netem/emulator.h"
 #include "runtime/metrics.h"
@@ -143,18 +142,6 @@ class Testbed final : public netem::MessageSink {
       const {
     return last_save_pages_;
   }
-
-  /// Deterministic digest of the fleet's *behavioral* state: a merkle-style
-  /// fold of every VM's state (per-page content hashes when images are
-  /// modeled, reusing cached PageStore keys so clean pages cost zero
-  /// rehashing; raw serialized state otherwise), the emulator's pending
-  /// events up to `horizon` (canonicalized, see Emulator::fingerprint),
-  /// timer generations, and metric samples from `from_time` on (earlier
-  /// samples are shared snapshot history; later ones feed the branch's
-  /// window measurements). Freezes and resumes the world around the walk;
-  /// execution is undisturbed. Interceptor (proxy) state is NOT included —
-  /// the caller folds its canonical residual separately.
-  Digest128 fleet_fingerprint(Time from_time, Time horizon);
 
   /// The content-addressed store this testbed interns into (null unless cow).
   const std::shared_ptr<vm::PageStore>& page_store() const { return store_; }

@@ -229,9 +229,7 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
 
   // Every execution is a contained BranchResult: baseline runs carry one
   // window, attack runs two windows + a crash count. `cached` slots hold
-  // journal replays; only misses get a future. With pruning on, a follower
-  // slot holds neither — `equivalent_to` names the canonical run whose
-  // settled result it inherits at merge time.
+  // journal replays; only misses get a future.
   struct TagWork {
     wire::TypeTag tag = 0;
     std::string name;
@@ -241,8 +239,6 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
     std::future<BranchResult> base;
     std::vector<std::optional<BranchResult>> run_cached;
     std::vector<std::future<BranchResult>> runs;
-    std::vector<std::optional<Digest128>> digests;   ///< prune fingerprints
-    std::vector<std::string> equivalent_to;          ///< non-empty = follower
   };
   const auto base_key = [](const TagWork& tw) {
     return "bf|" + std::to_string(tw.tag) + "|base";
@@ -265,42 +261,6 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
   }
 
   ThreadPool pool;
-
-  // Branch-equivalence pruning, brute-force shape (DESIGN.md §5f). Brute
-  // force has no snapshots, so a settle run is a full execution from t = 0
-  // to t0 + settle — still far cheaper than the t0 + 2w a pruned run skips.
-  // The table maps fingerprint → canonical run key; claims are made serially
-  // in (tag, action) order during enumeration, so the canonical choice is
-  // identical at any --jobs. Journal-replayed canonical records re-seed the
-  // table for --resume fidelity.
-  std::map<Digest128, std::string> prune_table;
-  const auto brute_fingerprint =
-      [&sc](const proxy::MaliciousAction& action, Time t0,
-            Time t_end) -> std::optional<Digest128> {
-    try {
-      ScenarioWorld w = make_scenario_world(sc);
-      w.testbed->emulator().set_event_budget(sc.fault.max_branch_events);
-      w.proxy->arm(action);
-      w.testbed->start();
-      const Time t_s = t0 + sc.prune.settle;
-      w.testbed->run_until(t_s);
-      Hasher128 h;
-      h.update("turret-prune-bf1");
-      h.update_i64(t0);
-      h.update_i64(sc.window);
-      h.update_digest(w.testbed->fleet_fingerprint(t0, t_end));
-      w.proxy->residual_fingerprint(h, t_end - t_s);
-      if (trace::active()) {
-        trace::Counters& c = trace::counters();
-        c.fingerprints.fetch_add(1, std::memory_order_relaxed);
-        c.prune_settle_ns.fetch_add(static_cast<std::uint64_t>(t_s),
-                                    std::memory_order_relaxed);
-      }
-      return h.digest();
-    } catch (...) {
-      return std::nullopt;  // settle failed: the run executes live instead
-    }
-  };
 
   for (TagWork& tw : work) {
     // Cooperative cancellation between message types: everything submitted so
@@ -343,17 +303,10 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
     }
     tw.run_cached.resize(tw.actions.size());
     tw.runs.resize(tw.actions.size());
-    tw.digests.resize(tw.actions.size());
-    tw.equivalent_to.resize(tw.actions.size());
     for (std::size_t i = 0; i < tw.actions.size(); ++i) {
       if (journal != nullptr) {
         if (std::optional<Bytes> rec = journal->replay(run_key(tw, i))) {
           tw.run_cached[i] = decode_branch_result(*rec);
-          // Re-seed the prune table from replayed canonical records so runs
-          // the interrupted search never reached prune identically.
-          if (sc.prune.enabled && tw.run_cached[i]->fingerprint) {
-            prune_table.emplace(*tw.run_cached[i]->fingerprint, run_key(tw, i));
-          }
           if (trace::active())
             trace::counters().journal_replays.fetch_add(
                 1, std::memory_order_relaxed);
@@ -361,49 +314,8 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
       }
     }
 
-    if (sc.prune.enabled) {
-      // Phase 1: settle + fingerprint every live run of this tag (parallel).
-      std::vector<std::future<std::optional<Digest128>>> fps(
-          tw.actions.size());
-      for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-        if (tw.run_cached[i]) continue;
-        const proxy::MaliciousAction& action = tw.actions[i];
-        fps[i] = pool.submit([&brute_fingerprint, &action, t0, t_end] {
-          return brute_fingerprint(action, t0, t_end);
-        });
-      }
-      std::vector<std::string> fp_errors;
-      for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-        if (!fps[i].valid()) continue;
-        try {
-          tw.digests[i] = fps[i].get();
-        } catch (const std::exception& e) {
-          fp_errors.push_back(e.what());
-        } catch (...) {
-          fp_errors.push_back("unknown error");
-        }
-      }
-      if (!fp_errors.empty()) throw AggregateBranchError(fp_errors);
-      // Phase 2: first-writer-wins claims in action order (serial — the
-      // source of determinism). Followers get no future; they inherit the
-      // canonical result at merge time.
-      for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-        if (tw.run_cached[i] || !tw.digests[i]) continue;
-        auto [it, inserted] =
-            prune_table.emplace(*tw.digests[i], run_key(tw, i));
-        if (!inserted) {
-          tw.equivalent_to[i] = it->second;
-          tw.digests[i].reset();  // only canonical records journal a digest
-        }
-      }
-      if (trace::active()) {
-        trace::counters().prune_table_entries.store(
-            prune_table.size(), std::memory_order_relaxed);
-      }
-    }
-
     for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-      if (tw.run_cached[i] || !tw.equivalent_to[i].empty()) continue;
+      if (tw.run_cached[i]) continue;
       // A full execution per scenario, attack armed from the start; the
       // injection point is still the first send of the type, which the armed
       // action is what transforms.
@@ -451,11 +363,6 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
     r.error = "harness error";
     return r;
   };
-
-  // Canonical run results (provenance stripped), kept for follower
-  // inheritance. Keys are global: a follower may reference a canonical run
-  // from an earlier tag when their settled states coincide.
-  std::map<std::string, BranchResult> canonical_results;
 
   for (TagWork& tw : work) {
     const Time t0 = tw.t0;
@@ -513,67 +420,13 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
     }
 
     for (std::size_t i = 0; i < tw.runs.size(); ++i) {
-      BranchResult run_r;
-      if (!tw.run_cached[i] && !tw.equivalent_to[i].empty()) {
-        // Follower: inherit the canonical run's outcome — merge order
-        // guarantees the canonical (earlier in (tag, action) order) has
-        // already settled. Attempts/error are what this run would have
-        // produced itself (equivalent state, deterministic platform), so
-        // the cost charges below match a prune-off search exactly.
-        auto cit = canonical_results.find(tw.equivalent_to[i]);
-        TURRET_CHECK_MSG(cit != canonical_results.end(),
-                         "brute follower without settled canonical");
-        run_r.attempts = cit->second.attempts;
-        run_r.error = cit->second.error;
-        if (cit->second.outcome) {
-          BranchExecutor::BranchOutcome o;
-          o.windows = cit->second.outcome->windows;
-          o.new_crashes = cit->second.outcome->new_crashes;
-          run_r.outcome = std::move(o);
-        }
-        run_r.pruned = true;
-        run_r.equivalent_to = tw.equivalent_to[i];
-        if (trace::active()) {
-          trace::Counters& c = trace::counters();
-          c.branches_pruned.fetch_add(1, std::memory_order_relaxed);
-          const Duration skipped = t_end - (t0 + sc.prune.settle);
-          if (skipped > 0)
-            c.prune_skipped_ns.fetch_add(static_cast<std::uint64_t>(skipped),
-                                         std::memory_order_relaxed);
-          trace::instant("search", "prune", t0,
-                         trace::Args()
-                             .add("message", tw.name)
-                             .add("action", tw.actions[i].describe())
-                             .add("equivalent_to", run_r.equivalent_to)
-                             .take());
-        }
-      } else {
-        run_r = settle(tw.run_cached[i], tw.runs[i]);
-        if (tw.digests[i]) run_r.fingerprint = tw.digests[i];
-      }
-      if (run_r.fingerprint) {
-        BranchResult c;
-        c.attempts = run_r.attempts;
-        c.error = run_r.error;
-        if (run_r.outcome) {
-          BranchExecutor::BranchOutcome o;  // provenance deliberately dropped
-          o.windows = run_r.outcome->windows;
-          o.new_crashes = run_r.outcome->new_crashes;
-          c.outcome = std::move(o);
-        }
-        c.fingerprint = run_r.fingerprint;
-        canonical_results[run_key(tw, i)] = std::move(c);
-      }
+      BranchResult run_r = settle(tw.run_cached[i], tw.runs[i]);
       if (journal != nullptr && !tw.run_cached[i]) {
         journal->append(run_key(tw, i), encode_branch_result(run_r));
       }
       if (provenance != nullptr && run_r.ok() &&
           run_r.outcome->provenance != nullptr) {
         provenance->add(run_r.outcome->provenance);
-      }
-      if (provenance != nullptr && run_r.pruned &&
-          !run_r.equivalent_to.empty()) {
-        provenance->add_alias(run_key(tw, i), run_r.equivalent_to);
       }
       // Charged whether or not the run produced an outcome: a throwing
       // branch still executed (satellite fix — the old path skipped both

@@ -57,33 +57,14 @@ Bytes encode_branch_result(const BranchExecutor::BranchResult& r) {
     w.vec(r.outcome->windows, [](serial::Writer& ww, const WindowPerf& p) {
       ww.f64(p.value);
       ww.u64(p.samples);
+      ww.u64(p.tampers);
+      ww.boolean(p.has_percentiles);
+      ww.f64(p.p50);
+      ww.f64(p.p95);
+      ww.f64(p.p99);
+      ww.f64(p.p999);
     });
     w.u32(r.outcome->new_crashes);
-  }
-  // v2 trailer: prune bookkeeping. Decoders treat its absence as "not
-  // pruned", so journals written before pruning existed still replay.
-  w.boolean(r.pruned);
-  w.str(r.equivalent_to);
-  w.boolean(r.fingerprint.has_value());
-  if (r.fingerprint) {
-    w.u64(r.fingerprint->hi);
-    w.u64(r.fingerprint->lo);
-  }
-  // v3 trailer: per-window tamper counts. Absent in older journals, which
-  // predate signed adapters and therefore counted zero tampers.
-  if (r.ok()) {
-    for (const WindowPerf& p : r.outcome->windows) w.u64(p.tampers);
-  }
-  // v4 trailer: per-window percentile fields. Absent in journals written
-  // before the metrics registry, which reported no percentiles.
-  if (r.ok()) {
-    for (const WindowPerf& p : r.outcome->windows) {
-      w.boolean(p.has_percentiles);
-      w.f64(p.p50);
-      w.f64(p.p95);
-      w.f64(p.p99);
-      w.f64(p.p999);
-    }
   }
   return w.take();
 }
@@ -100,32 +81,16 @@ BranchExecutor::BranchResult decode_branch_result(BytesView payload) {
       WindowPerf p;
       p.value = rr.f64();
       p.samples = rr.u64();
+      p.tampers = rr.u64();
+      p.has_percentiles = rr.boolean();
+      p.p50 = rr.f64();
+      p.p95 = rr.f64();
+      p.p99 = rr.f64();
+      p.p999 = rr.f64();
       return p;
     });
     o.new_crashes = r.u32();
     out.outcome = std::move(o);
-  }
-  if (!r.exhausted()) {  // v2 trailer (absent in v1 records)
-    out.pruned = r.boolean();
-    out.equivalent_to = r.str();
-    if (r.boolean()) {
-      Digest128 d;
-      d.hi = r.u64();
-      d.lo = r.u64();
-      out.fingerprint = d;
-    }
-  }
-  if (!r.exhausted() && out.outcome) {  // v3 trailer (absent in v1/v2 records)
-    for (WindowPerf& p : out.outcome->windows) p.tampers = r.u64();
-  }
-  if (!r.exhausted() && out.outcome) {  // v4 trailer (absent in v1-v3 records)
-    for (WindowPerf& p : out.outcome->windows) {
-      p.has_percentiles = r.boolean();
-      p.p50 = r.f64();
-      p.p95 = r.f64();
-      p.p99 = r.f64();
-      p.p999 = r.f64();
-    }
   }
   TURRET_CHECK_MSG(r.exhausted(), "trailing bytes in journal record");
   return out;
@@ -532,12 +497,6 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
       if (auto rec = journal_->replay(branch_key(ip, actions[i], windows))) {
         out[i] = decode_branch_result(*rec);
         replayed[i] = true;
-        // A replayed canonical record carries its fingerprint: re-seed the
-        // prune table so branches the interrupted run never reached make the
-        // same prune decisions the uninterrupted run would have.
-        if (sc_.prune.enabled && out[i].fingerprint) {
-          seed_prune_entry(branch_key(ip, actions[i], windows), out[i]);
-        }
         if (trace::active()) {
           trace::counters().journal_replays.fetch_add(
               1, std::memory_order_relaxed);
@@ -560,13 +519,11 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
       // The injection point's snapshot is unusable: every pending branch
       // inherits the decode failure as its quarantine record.
       for (const std::size_t i : live) out[i] = decode_failure;
-    } else if (sc_.prune.enabled) {
-      run_pruned(*snap, ip, actions, windows, live, out);
     } else {
       // Remote dispatch: ship the live branches to the distributed backend
       // when one is attached and reachable. Whatever it could not place
       // (no workers, every worker died mid-batch) stays in `pending` and
-      // degrades to the local paths below — results are byte-identical
+      // degrades to the local pool below — results are byte-identical
       // either way, because workers run the same attempt_branch against the
       // same decoded snapshot and the merge below is input-order regardless.
       // Provenance harvesting is in-process-only, so it forces local.
@@ -595,30 +552,30 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
           out[i] = attempt_branch(*snap, ip, actions[i], windows);
         }
       } else {
-      ThreadPool& workers = pool();
-      std::vector<std::future<BranchResult>> futures;
-      futures.reserve(pending.size());
-      for (const std::size_t i : pending) {
-        const proxy::MaliciousAction* action = actions[i];
-        futures.push_back(workers.submit([this, snap, &ip, action, windows] {
-          return attempt_branch(*snap, ip, action, windows);
-        }));
-      }
-      // Merge in input order. attempt_branch contains everything a branch
-      // can throw, so the futures only fail on harness-level errors — drain
-      // every one (the tasks reference run_branches locals) and aggregate
-      // instead of dropping all errors after the first.
-      std::vector<std::string> errors;
-      for (std::size_t k = 0; k < futures.size(); ++k) {
-        try {
-          out[pending[k]] = futures[k].get();
-        } catch (const std::exception& e) {
-          errors.push_back(e.what());
-        } catch (...) {
-          errors.push_back("unknown error");
+        ThreadPool& workers = pool();
+        std::vector<std::future<BranchResult>> futures;
+        futures.reserve(pending.size());
+        for (const std::size_t i : pending) {
+          const proxy::MaliciousAction* action = actions[i];
+          futures.push_back(workers.submit([this, snap, &ip, action, windows] {
+            return attempt_branch(*snap, ip, action, windows);
+          }));
         }
-      }
-      if (!errors.empty()) throw AggregateBranchError(errors);
+        // Merge in input order. attempt_branch contains everything a branch
+        // can throw, so the futures only fail on harness-level errors — drain
+        // every one (the tasks reference run_branches locals) and aggregate
+        // instead of dropping all errors after the first.
+        std::vector<std::string> errors;
+        for (std::size_t k = 0; k < futures.size(); ++k) {
+          try {
+            out[pending[k]] = futures[k].get();
+          } catch (const std::exception& e) {
+            errors.push_back(e.what());
+          } catch (...) {
+            errors.push_back("unknown error");
+          }
+        }
+        if (!errors.empty()) throw AggregateBranchError(errors);
       }
     }
   }
@@ -635,245 +592,12 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
         out[i].outcome->provenance != nullptr) {
       provenance_->add(out[i].outcome->provenance);
     }
-    // A pruned branch harvested nothing; its equivalent-to link makes the
-    // canonical branch's provenance answer for it in reports.
-    if (provenance_ != nullptr && out[i].pruned &&
-        !out[i].equivalent_to.empty()) {
-      provenance_->add_alias(branch_key(ip, actions[i], windows),
-                             out[i].equivalent_to);
-    }
     if (journal_ != nullptr && !replayed[i]) {
       journal_->append(branch_key(ip, actions[i], windows),
                        encode_branch_result(out[i]));
     }
   }
   return out;
-}
-
-void BranchExecutor::run_pruned(
-    const runtime::DecodedSnapshot& snap, const InjectionPoint& ip,
-    const std::vector<const proxy::MaliciousAction*>& actions, int windows,
-    const std::vector<std::size_t>& live, std::vector<BranchResult>& out) {
-  // Phase 1: settle + fingerprint every live branch. Each settle world is
-  // torn down right after fingerprinting, so memory stays bounded by the
-  // worker count, not the batch size.
-  std::vector<std::optional<Digest128>> digests(actions.size());
-  if (live.size() <= 1 || default_jobs() <= 1) {
-    for (const std::size_t i : live) {
-      digests[i] = fingerprint_branch(snap, ip, actions[i], windows);
-    }
-  } else {
-    ThreadPool& workers = pool();
-    std::vector<std::future<std::optional<Digest128>>> futures;
-    futures.reserve(live.size());
-    for (const std::size_t i : live) {
-      const proxy::MaliciousAction* action = actions[i];
-      futures.push_back(workers.submit([this, &snap, &ip, action, windows] {
-        return fingerprint_branch(snap, ip, action, windows);
-      }));
-    }
-    std::vector<std::string> errors;
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      try {
-        digests[live[k]] = futures[k].get();
-      } catch (const std::exception& e) {
-        errors.push_back(e.what());
-      } catch (...) {
-        errors.push_back("unknown error");
-      }
-    }
-    if (!errors.empty()) throw AggregateBranchError(errors);
-  }
-
-  // Phase 2: first-writer-wins claims, serially in INPUT order — this, not
-  // the mutex, is what makes the canonical/follower split (and therefore the
-  // whole result) identical at any --jobs. A branch whose settle run failed
-  // (no digest) just executes live.
-  struct Follower {
-    std::size_t index;
-    Digest128 digest;
-  };
-  std::vector<std::size_t> canonical;
-  std::vector<Follower> followers;
-  canonical.reserve(live.size());
-  for (const std::size_t i : live) {
-    if (!digests[i]) {
-      canonical.push_back(i);
-      continue;
-    }
-    if (claim_prune_entry(*digests[i], branch_key(ip, actions[i], windows))) {
-      canonical.push_back(i);
-    } else {
-      followers.push_back({i, *digests[i]});
-    }
-  }
-
-  // Phase 3: execute canonical branches (the only guest execution past the
-  // settle horizon) and complete their table entries.
-  if (canonical.size() <= 1 || default_jobs() <= 1) {
-    for (const std::size_t i : canonical) {
-      out[i] = attempt_branch(snap, ip, actions[i], windows);
-    }
-  } else {
-    ThreadPool& workers = pool();
-    std::vector<std::future<BranchResult>> futures;
-    futures.reserve(canonical.size());
-    for (const std::size_t i : canonical) {
-      const proxy::MaliciousAction* action = actions[i];
-      futures.push_back(workers.submit([this, &snap, &ip, action, windows] {
-        return attempt_branch(snap, ip, action, windows);
-      }));
-    }
-    std::vector<std::string> errors;
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      try {
-        out[canonical[k]] = futures[k].get();
-      } catch (const std::exception& e) {
-        errors.push_back(e.what());
-      } catch (...) {
-        errors.push_back("unknown error");
-      }
-    }
-    if (!errors.empty()) throw AggregateBranchError(errors);
-  }
-  for (const std::size_t i : canonical) {
-    if (digests[i]) {
-      out[i].fingerprint = *digests[i];
-      record_prune_result(*digests[i], out[i]);
-    }
-  }
-
-  // Followers inherit the canonical outcome. The inherited attempts/error
-  // equal what the follower's own execution would have produced (the states
-  // are equivalent and the platform deterministic), so SearchCost charges —
-  // applied by the caller from these fields — match the prune-off run.
-  for (const Follower& f : followers) {
-    const PruneEntry* e = find_prune_entry(f.digest);
-    TURRET_CHECK_MSG(e != nullptr, "follower without a completed prune entry");
-    BranchResult r;
-    r.attempts = e->result.attempts;
-    r.error = e->result.error;
-    if (e->result.outcome) {
-      BranchOutcome o;
-      o.windows = e->result.outcome->windows;
-      o.new_crashes = e->result.outcome->new_crashes;
-      r.outcome = std::move(o);
-    }
-    r.pruned = true;
-    r.equivalent_to = e->canonical_key;
-    out[f.index] = std::move(r);
-    if (trace::active()) {
-      trace::Counters& c = trace::counters();
-      c.branches_pruned.fetch_add(1, std::memory_order_relaxed);
-      const Duration skipped =
-          static_cast<Duration>(windows) * sc_.window - sc_.prune.settle;
-      if (skipped > 0) {
-        c.prune_skipped_ns.fetch_add(static_cast<std::uint64_t>(skipped),
-                                     std::memory_order_relaxed);
-      }
-      trace::instant(
-          "search", "prune", ip.time,
-          trace::Args()
-              .add("message", ip.message_name)
-              .add("action", actions[f.index] != nullptr
-                                 ? actions[f.index]->describe()
-                                 : std::string("baseline"))
-              .add("equivalent_to", out[f.index].equivalent_to)
-              .take());
-    }
-  }
-  if (trace::active()) {
-    std::lock_guard<std::mutex> lock(prune_mutex_);
-    trace::counters().prune_table_entries.store(prune_table_.size(),
-                                                std::memory_order_relaxed);
-  }
-}
-
-std::optional<Digest128> BranchExecutor::fingerprint_branch(
-    const runtime::DecodedSnapshot& snap, const InjectionPoint& ip,
-    const proxy::MaliciousAction* action, int windows) const {
-  try {
-    ScenarioWorld w = make_scenario_world(sc_);
-    w.testbed->emulator().set_event_budget(sc_.fault.max_branch_events);
-    w.testbed->load_snapshot(snap);
-    if (action != nullptr) w.proxy->arm(*action);
-    const Time t_s = ip.time + sc_.prune.settle;
-    const Time horizon = ip.time + static_cast<Duration>(windows) * sc_.window;
-    w.testbed->run_until(t_s);
-
-    Hasher128 h;
-    h.update("turret-prune-v1");
-    h.update_i64(windows);
-    h.update_i64(sc_.window);
-    h.update_digest(w.testbed->fleet_fingerprint(ip.time, horizon));
-    w.proxy->residual_fingerprint(h, horizon - t_s);
-    if (trace::active()) {
-      trace::Counters& c = trace::counters();
-      c.fingerprints.fetch_add(1, std::memory_order_relaxed);
-      c.prune_settle_ns.fetch_add(
-          static_cast<std::uint64_t>(sc_.prune.settle),
-          std::memory_order_relaxed);
-    }
-    return h.digest();
-  } catch (...) {
-    // A failing settle run is deterministic; the branch simply executes live
-    // (and quarantines there if the failure persists).
-    return std::nullopt;
-  }
-}
-
-bool BranchExecutor::claim_prune_entry(const Digest128& digest,
-                                       const std::string& key) {
-  std::lock_guard<std::mutex> lock(prune_mutex_);
-  auto [it, inserted] = prune_table_.try_emplace(digest);
-  if (inserted) it->second.canonical_key = key;
-  return inserted;
-}
-
-void BranchExecutor::record_prune_result(const Digest128& digest,
-                                         const BranchResult& r) {
-  std::lock_guard<std::mutex> lock(prune_mutex_);
-  auto it = prune_table_.find(digest);
-  if (it == prune_table_.end() || it->second.completed) return;
-  PruneEntry& e = it->second;
-  if (r.outcome) {
-    BranchOutcome o;  // provenance deliberately not retained in the table
-    o.windows = r.outcome->windows;
-    o.new_crashes = r.outcome->new_crashes;
-    e.result.outcome = std::move(o);
-  }
-  e.result.attempts = r.attempts;
-  e.result.error = r.error;
-  e.completed = true;
-}
-
-const BranchExecutor::PruneEntry* BranchExecutor::find_prune_entry(
-    const Digest128& digest) {
-  std::lock_guard<std::mutex> lock(prune_mutex_);
-  auto it = prune_table_.find(digest);
-  if (it == prune_table_.end() || !it->second.completed) return nullptr;
-  // std::map nodes are address-stable across inserts; claims and lookups all
-  // happen on the merge path, so the entry outlives the caller's use.
-  return &it->second;
-}
-
-void BranchExecutor::seed_prune_entry(const std::string& key,
-                                      const BranchResult& r) {
-  TURRET_CHECK(r.fingerprint.has_value());
-  std::lock_guard<std::mutex> lock(prune_mutex_);
-  auto [it, inserted] = prune_table_.try_emplace(*r.fingerprint);
-  if (!inserted) return;
-  PruneEntry& e = it->second;
-  e.canonical_key = key;
-  if (r.outcome) {
-    BranchOutcome o;
-    o.windows = r.outcome->windows;
-    o.new_crashes = r.outcome->new_crashes;
-    e.result.outcome = std::move(o);
-  }
-  e.result.attempts = r.attempts;
-  e.result.error = r.error;
-  e.completed = true;
 }
 
 void BranchExecutor::evict_unreferenced_pages() {

@@ -9,7 +9,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -130,17 +129,6 @@ class BranchExecutor {
     std::uint32_t attempts = 1;
     std::string error;  ///< last failure; empty on success
 
-    /// Branch-equivalence pruning (DESIGN.md §5f): true when this branch
-    /// skipped execution and inherited `equivalent_to`'s result because its
-    /// fleet-state fingerprint matched the prune table. Cost charges are
-    /// identical either way.
-    bool pruned = false;
-    std::string equivalent_to;  ///< canonical branch_key when pruned
-    /// Fleet-state fingerprint of a canonical (live, prune-enabled) branch;
-    /// journaled so a resumed search re-seeds the prune table and replays
-    /// the original run's prune decisions exactly.
-    std::optional<Digest128> fingerprint;
-
     bool ok() const { return outcome.has_value(); }
   };
 
@@ -163,8 +151,8 @@ class BranchExecutor {
   /// local pool; entries the backend could not place (no workers reachable,
   /// every worker died) degrade to local execution. Remote dispatch is
   /// skipped while a provenance store is attached (provenance is harvested
-  /// in-process) and under prune mode (the prune table is process-local);
-  /// both fall back to the local pool with identical results.
+  /// in-process); the batch then runs on the local pool with identical
+  /// results.
   void set_remote(RemoteBackend* remote) { remote_ = remote; }
 
   /// One contained branch execution against an already-decoded snapshot,
@@ -276,48 +264,6 @@ class BranchExecutor {
   /// (journaled) and live branches account identically.
   void charge_attempts(std::uint32_t attempts, int windows);
 
-  /// The prune-enabled execution path of run_branches (DESIGN.md §5f), three
-  /// phases: (1) settle + fingerprint every live branch in parallel, (2)
-  /// claim the prune table serially in input order — the first branch to
-  /// present a digest becomes canonical, later ones become followers, so the
-  /// choice is identical at any --jobs — and (3) execute canonical branches
-  /// in parallel while followers inherit the canonical outcome without any
-  /// guest execution.
-  void run_pruned(const runtime::DecodedSnapshot& snap,
-                  const InjectionPoint& ip,
-                  const std::vector<const proxy::MaliciousAction*>& actions,
-                  int windows, const std::vector<std::size_t>& live,
-                  std::vector<BranchResult>& out);
-
-  /// Prune key of one branch: load the snapshot, arm the action, run to
-  /// ip.time + prune.settle, and fold the fleet fingerprint with the proxy's
-  /// canonical residual and the (windows, window) observation context.
-  /// nullopt when the settle run itself fails (the branch then executes
-  /// live, deterministically). Thread-safe; touches no executor state except
-  /// counters.
-  std::optional<Digest128> fingerprint_branch(
-      const runtime::DecodedSnapshot& snap, const InjectionPoint& ip,
-      const proxy::MaliciousAction* action, int windows) const;
-
-  /// First-writer-wins claim on `digest`. Returns true when this branch is
-  /// canonical (first to present the digest); false when an entry exists, in
-  /// which case `canonical_key`/`result` receive the canonical branch's
-  /// identity and (if already completed) result. Claims are made on the
-  /// single-threaded merge path in input order, which is what makes the
-  /// canonical choice deterministic at any --jobs; the table itself is
-  /// mutex-guarded so future callers may claim concurrently.
-  bool claim_prune_entry(const Digest128& digest, const std::string& key);
-
-  void record_prune_result(const Digest128& digest, const BranchResult& r);
-
-  struct PruneEntry;
-  /// Completed table entry for `digest`, or nullptr (no entry / pending).
-  const PruneEntry* find_prune_entry(const Digest128& digest);
-
-  /// Re-seed the prune table from a journal-replayed canonical record so a
-  /// resumed search reproduces the original run's prune decisions.
-  void seed_prune_entry(const std::string& key, const BranchResult& r);
-
   void record_failure(const InjectionPoint& ip,
                       const proxy::MaliciousAction* action,
                       const BranchResult& r);
@@ -356,16 +302,6 @@ class BranchExecutor {
   std::map<Digest128, std::vector<DecodedEntry>> decoded_cache_;
   std::size_t decoded_cache_entries_ = 0;
 
-  /// Branch-equivalence prune table (DESIGN.md §5f): fingerprint → canonical
-  /// branch. `completed` stays false between the input-order claim and the
-  /// canonical branch's merge (the result is filled on the merge path).
-  struct PruneEntry {
-    std::string canonical_key;
-    BranchResult result;  ///< outcome without provenance
-    bool completed = false;
-  };
-  std::map<Digest128, PruneEntry> prune_table_;
-  mutable std::mutex prune_mutex_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<FailedBranch> failed_;
   Journal* journal_ = nullptr;

@@ -7,7 +7,9 @@
 namespace turret::search {
 namespace {
 
-constexpr char kMagic[8] = {'T', 'U', 'R', 'R', 'E', 'T', 'J', '1'};
+// J2: branch-result payloads carry every window field inline, with no
+// version trailers; J1 files are refused rather than mis-decoded.
+constexpr char kMagic[8] = {'T', 'U', 'R', 'R', 'E', 'T', 'J', '2'};
 
 /// Read one length-prefixed field; false on EOF or a truncated tail.
 bool read_field(std::FILE* f, Bytes* out) {

@@ -61,11 +61,6 @@ std::string TelemetrySnapshot::to_json() const {
   out += ",\"pagestore_pages\":" + u64(c.pagestore_pages);
   out += ",\"pagestore_bytes\":" + u64(c.pagestore_bytes);
   out += ",\"pagestore_evicted\":" + u64(c.pagestore_evicted);
-  out += ",\"branches_pruned\":" + u64(c.branches_pruned);
-  out += ",\"prune_table_entries\":" + u64(c.prune_table_entries);
-  out += ",\"fingerprints\":" + u64(c.fingerprints);
-  out += ",\"prune_settle_ns\":" + u64(c.prune_settle_ns);
-  out += ",\"prune_skipped_ns\":" + u64(c.prune_skipped_ns);
   out += ",\"hash_collisions\":" + u64(c.hash_collisions);
   out += ",\"hash_chain_max\":" + u64(c.hash_chain_max);
   out += ",\"phase_ns\":{";

@@ -44,9 +44,9 @@ struct TelemetrySnapshot {
   double decode_hit_rate() const;
 
   /// The stats block: one JSON object, keys in fixed order. Deterministic
-  /// core only — same-seed blocks are byte-identical across --jobs, prune
-  /// settings, and 0..N forked workers (worker execution deltas merge into
-  /// the same totals an in-process run bumps directly).
+  /// core only — same-seed blocks are byte-identical across --jobs and 0..N
+  /// forked workers (worker execution deltas merge into the same totals an
+  /// in-process run bumps directly).
   std::string to_json() const;
 
   /// The fleet block: worker count, dist transport counters (including the

@@ -100,12 +100,6 @@ void usage() {
                "                        blobs) | cow (content-addressed page\n"
                "                        store; branches share pages\n"
                "                        copy-on-write)\n"
-               "  --prune <on|off>      branch-equivalence pruning (default\n"
-               "                        off): branches whose settled fleet-\n"
-               "                        state fingerprints match skip guest\n"
-               "                        execution and inherit the canonical\n"
-               "                        branch's outcome; results are byte-\n"
-               "                        identical either way\n"
                "  --journal <path>      write-ahead journal of branch outcomes\n"
                "  --resume              replay completed branches from the\n"
                "                        journal instead of re-executing them\n"
@@ -128,10 +122,10 @@ void usage() {
                "                        blocks; with --capture/--report also\n"
                "                        a \"provenance\" block)\n"
                "  --progress            stream a periodic progress line to\n"
-               "                        stderr (branches done/pruned/\n"
-               "                        quarantined, workers alive,\n"
-               "                        branches/sec); purely observational —\n"
-               "                        stdout artifacts are byte-unchanged\n"
+               "                        stderr (branches done/quarantined,\n"
+               "                        workers alive, branches/sec); purely\n"
+               "                        observational — stdout artifacts are\n"
+               "                        byte-unchanged\n"
                "  --list                list systems and exit\n");
 }
 
@@ -161,7 +155,6 @@ struct Options {
   std::string trace_path;
   turret::trace::Clock trace_clock = turret::trace::Clock::kVirtual;
   turret::vm::SnapshotMode snapshot_mode = turret::vm::SnapshotMode::kPlain;
-  bool prune = false;
 };
 
 search::Scenario build_scenario(const Options& o) {
@@ -200,7 +193,6 @@ search::Scenario build_scenario(const Options& o) {
     // One store for every world the search will create (DESIGN.md §5e).
     sc.testbed.snapshot.store = std::make_shared<turret::vm::PageStore>();
   }
-  sc.prune.enabled = o.prune;
   return sc;
 }
 
@@ -242,9 +234,8 @@ class ProgressReporter {
     char buf[192];
     int n = std::snprintf(
         buf, sizeof(buf),
-        "progress: %llu branches (%llu pruned, %llu quarantined)",
+        "progress: %llu branches (%llu quarantined)",
         static_cast<unsigned long long>(c.branch_attempts),
-        static_cast<unsigned long long>(c.branches_pruned),
         static_cast<unsigned long long>(c.branch_quarantines));
     if (coord_ != nullptr && n > 0 && n < static_cast<int>(sizeof(buf))) {
       n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
@@ -364,16 +355,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       o.snapshot_mode = *m;
-    } else if (arg == "--prune") {
-      const std::string v = next();
-      if (v == "on") {
-        o.prune = true;
-      } else if (v == "off") {
-        o.prune = false;
-      } else {
-        std::fprintf(stderr, "turret-run: --prune wants 'on' or 'off'\n");
-        return 2;
-      }
     } else if (arg == "--capture") {
       o.capture_dir = next();
     } else if (arg == "--report") {

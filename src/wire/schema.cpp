@@ -72,29 +72,6 @@ bool is_float(FieldType t) {
   return t == FieldType::kF32 || t == FieldType::kF64;
 }
 
-std::size_t scalar_size(FieldType t) {
-  switch (t) {
-    case FieldType::kBool:
-    case FieldType::kI8:
-    case FieldType::kU8:
-      return 1;
-    case FieldType::kI16:
-    case FieldType::kU16:
-      return 2;
-    case FieldType::kI32:
-    case FieldType::kU32:
-    case FieldType::kF32:
-      return 4;
-    case FieldType::kI64:
-    case FieldType::kU64:
-    case FieldType::kF64:
-      return 8;
-    case FieldType::kBytes:
-      return 0;
-  }
-  return 0;
-}
-
 std::int64_t integer_min(FieldType t) {
   switch (t) {
     case FieldType::kI8: return std::numeric_limits<std::int8_t>::min();

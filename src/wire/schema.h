@@ -86,10 +86,6 @@ bool is_signed_integer(FieldType t);
 bool is_unsigned_integer(FieldType t);
 bool is_float(FieldType t);
 
-/// Encoded size of a scalar field in bytes (bytes fields are variable; this
-/// returns 0 for kBytes).
-std::size_t scalar_size(FieldType t);
-
 /// Inclusive numeric range of an integer field type.
 std::int64_t integer_min(FieldType t);
 std::uint64_t integer_max(FieldType t);

@@ -1,6 +1,7 @@
 // common/: RNG determinism and statistics, hashing, formatting, bytes.
 #include <gtest/gtest.h>
 
+#include "common/backoff.h"
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/hash.h"
@@ -132,7 +133,7 @@ TEST(Hash, Digest128IsLengthTagged) {
 }
 
 TEST(Hash, Digest128OrdersLikeItsLanes) {
-  // The prune table and decoded-snapshot cache key on Digest128 via <=>.
+  // The decoded-snapshot cache keys on Digest128 via <=>.
   const Digest128 a{1, 2};
   const Digest128 b{1, 3};
   const Digest128 c{2, 0};
@@ -171,6 +172,22 @@ TEST(Check, ThrowsLogicErrorWithContext) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("impossible"), std::string::npos);
+  }
+}
+
+TEST(Check, LibraryFailuresNameRepoRelativeFiles) {
+  // Check messages reach search artifacts as quarantine errors, so they must
+  // not depend on where the tree is checked out.
+  BackoffPolicy bad;
+  bad.multiplier = 0.5;
+  try {
+    Backoff b(bad, Rng(1));
+    FAIL();
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/common/backoff.cpp:"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find(" at /"), std::string::npos) << what;
   }
 }
 

@@ -546,13 +546,10 @@ std::string stats_json(const Scenario& sc, unsigned jobs, unsigned workers) {
 }
 
 TEST(FleetTelemetry, StatsBlockByteIdenticalAcrossJobsAndWorkers) {
-  for (const bool prune : {false, true}) {
-    Scenario sc = pbft_scenario();
-    sc.prune.enabled = prune;
-    const std::string ref = stats_json(sc, 1, 0);
-    EXPECT_EQ(stats_json(sc, 4, 0), ref) << "jobs=4 prune=" << prune;
-    EXPECT_EQ(stats_json(sc, 1, 2), ref) << "workers=2 prune=" << prune;
-  }
+  const Scenario sc = pbft_scenario();
+  const std::string ref = stats_json(sc, 1, 0);
+  EXPECT_EQ(stats_json(sc, 4, 0), ref) << "jobs=4";
+  EXPECT_EQ(stats_json(sc, 1, 2), ref) << "workers=2";
 }
 
 TEST(FleetTelemetry, FleetBlockReportsPerWorkerExecutionCounters) {

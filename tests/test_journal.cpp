@@ -73,6 +73,19 @@ TEST(Journal, FreshOpenTruncatesAndResumeRejectsForeignFiles) {
                std::runtime_error);
 }
 
+TEST(Journal, ResumeRefusesAPreviousFormatJournal) {
+  // A TURRETJ1 journal's records use the old branch-result layout; resuming
+  // from one must fail at the header instead of mis-decoding records.
+  const std::string path = tmp_path("j1");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    std::fputs("TURRETJ1", f);
+    std::fclose(f);
+  }
+  EXPECT_THROW(Journal::open(path, true), std::runtime_error);
+  EXPECT_THROW(Journal::read_all(path), std::runtime_error);
+}
+
 TEST(Journal, ToleratesATruncatedTailRecord) {
   const std::string path = tmp_path("tail");
   {
@@ -103,6 +116,12 @@ TEST(Journal, BranchResultCodecRoundTrips) {
   ok.attempts = 3;
   BranchExecutor::BranchOutcome out;
   out.windows = {{123.5, 777}, {0.25, 2}};
+  out.windows[0].tampers = 5;
+  out.windows[1].has_percentiles = true;
+  out.windows[1].p50 = 1.5;
+  out.windows[1].p95 = 8;
+  out.windows[1].p99 = 16.25;
+  out.windows[1].p999 = 1024;
   out.new_crashes = 2;
   ok.outcome = out;
   const auto ok2 = decode_branch_result(encode_branch_result(ok));
@@ -111,6 +130,14 @@ TEST(Journal, BranchResultCodecRoundTrips) {
   ASSERT_EQ(ok2.outcome->windows.size(), 2u);
   EXPECT_DOUBLE_EQ(ok2.outcome->windows[0].value, 123.5);
   EXPECT_EQ(ok2.outcome->windows[0].samples, 777u);
+  EXPECT_EQ(ok2.outcome->windows[0].tampers, 5u);
+  EXPECT_FALSE(ok2.outcome->windows[0].has_percentiles);
+  EXPECT_EQ(ok2.outcome->windows[1].tampers, 0u);
+  EXPECT_TRUE(ok2.outcome->windows[1].has_percentiles);
+  EXPECT_DOUBLE_EQ(ok2.outcome->windows[1].p50, 1.5);
+  EXPECT_DOUBLE_EQ(ok2.outcome->windows[1].p95, 8);
+  EXPECT_DOUBLE_EQ(ok2.outcome->windows[1].p99, 16.25);
+  EXPECT_DOUBLE_EQ(ok2.outcome->windows[1].p999, 1024);
   EXPECT_EQ(ok2.outcome->new_crashes, 2u);
 
   BranchExecutor::BranchResult failed;
@@ -247,6 +274,40 @@ TEST(JournalResume, WeightedGreedyReplaysToTheIdenticalResult) {
     EXPECT_EQ(j->replayed(), appended)
         << "a complete journal replays every branch";
     EXPECT_EQ(j->appended(), 0u) << "nothing executed, nothing re-journaled";
+  }
+  set_default_jobs(0);
+  expect_identical(live, resumed);
+}
+
+TEST(JournalResume, WeightedGreedyResumesFromAKilledRunsPrefix) {
+  const Scenario sc = toy_scenario();
+  const std::string full_path = tmp_path("weighted_killed_full");
+  set_default_jobs(1);
+
+  SearchResult live;
+  {
+    auto j = Journal::open(full_path, false);
+    live = weighted_greedy_search(sc, {}, nullptr, j.get());
+  }
+
+  // Keep only the first half of the journal, then resume from the prefix.
+  // Continuations are not journaled; the resumed run re-executes them live.
+  const auto entries = Journal::read_all(full_path);
+  ASSERT_GT(entries.size(), 2u);
+  const std::string prefix_path = tmp_path("weighted_killed_prefix");
+  {
+    auto j = Journal::open(prefix_path, false);
+    for (std::size_t i = 0; i < entries.size() / 2; ++i)
+      j->append(entries[i].key, entries[i].payload);
+  }
+
+  SearchResult resumed;
+  {
+    auto j = Journal::open(prefix_path, true);
+    resumed = weighted_greedy_search(sc, {}, nullptr, j.get());
+    EXPECT_EQ(j->replayed(), entries.size() / 2);
+    EXPECT_EQ(j->appended(), entries.size() - entries.size() / 2)
+        << "only the missing branches execute";
   }
   set_default_jobs(0);
   expect_identical(live, resumed);
