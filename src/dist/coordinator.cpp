@@ -456,13 +456,10 @@ Coordinator::run_remote(const search::BranchExecutor::InjectionPoint& ip,
     h.update(BytesView(*ip.snapshot));
     batch.blob_digest = h.digest();
   }
-  // Cow page deltas, deduped in frame order. Outside cow mode frames carry
-  // no refs and the blob is self-contained — nothing to ship.
+  // The blob's page deltas, deduped in frame order.
   std::set<std::pair<std::uint64_t, std::uint32_t>> seen;
   for (const auto& frame : snap.frames) {
-    if (frame == nullptr || frame->refs.empty()) continue;
-    const std::size_t count = std::min(frame->refs.size(), frame->pages.size());
-    for (std::size_t j = 0; j < count; ++j) {
+    for (std::size_t j = 0; j < frame->refs.size(); ++j) {
       const vm::PageRef& ref = frame->refs[j];
       if (seen.insert({ref.hash, ref.slot}).second) {
         batch.deltas.emplace_back(ref, frame->pages[j]);

@@ -237,7 +237,6 @@ Digest128 scenario_fingerprint(const search::Scenario& sc) {
   h.update(sc.system_name);
   h.update_u64(sc.testbed.seed);
   h.update_u64(static_cast<std::uint64_t>(sc.testbed.net.nodes));
-  h.update_u64(static_cast<std::uint64_t>(sc.testbed.snapshot.mode));
   h.update_i64(sc.warmup);
   h.update_i64(sc.duration);
   h.update_i64(sc.window);

@@ -59,7 +59,10 @@ constexpr std::uint32_t kMaxFramePayload = 256u << 20;
 // v2: ResultMsg carries an optional telemetry CounterSnapshot delta.
 // v3: branch-result payloads carry every window field inline, and the
 // counter snapshot is five counters shorter.
-constexpr std::uint32_t kProtocolVersion = 3;
+// v4: snapshot blobs always reference pages in the page store, so every
+// work unit may carry page deltas; the scenario fingerprint has no
+// snapshot-encoding term.
+constexpr std::uint32_t kProtocolVersion = 4;
 
 struct Frame {
   FrameType type = FrameType::kHello;
@@ -164,7 +167,7 @@ struct HeartbeatMsg {
 
 /// Compatibility fingerprint of everything a worker must agree with the
 /// coordinator on for its branch executions to be byte-identical: system,
-/// seed, fleet size, timing parameters, snapshot mode, fault budget, metric.
+/// seed, fleet size, timing parameters, fault budget, metric.
 /// Workers rebuild the Scenario from their own command line (guest factories
 /// cannot cross a process boundary), so the handshake verifies the rebuild.
 Digest128 scenario_fingerprint(const search::Scenario& sc);

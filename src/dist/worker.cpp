@@ -106,11 +106,6 @@ ServeEnd serve(int fd, const search::Scenario& sc,
     }
 
     for (const WorkMsg::PageDelta& d : work.pages) {
-      if (store == nullptr) {
-        throw ProtocolError(
-            "page deltas shipped but this worker has no page store "
-            "(snapshot-mode mismatch)");
-      }
       store->put(vm::PageRef{d.hash, d.slot}, d.content);
     }
     if (work.has_blob) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/fault.h"
@@ -73,11 +72,8 @@ Testbed::Testbed(TestbedConfig cfg, GuestFactory factory)
         id, factory_(id), cfg_.cpu, mix64(cfg_.seed) ^ (id + 1)));
   }
   store_ = cfg_.snapshot.store;
-  if (cfg_.snapshot.mode == vm::SnapshotMode::kCow && store_ == nullptr) {
-    // Standalone cow testbed: private store. Branching searches must share
-    // one store across worlds via cfg.snapshot.store instead.
-    store_ = std::make_shared<vm::PageStore>();
-  }
+  TURRET_CHECK_MSG(store_ != nullptr,
+                   "TestbedConfig::snapshot.store must not be null");
 }
 
 Testbed::~Testbed() = default;
@@ -199,11 +195,9 @@ vm::MemoryProfile Testbed::effective_profile() const {
 }
 
 void Testbed::sync_images(const std::vector<Bytes>& states) {
-  if (!have_images_) {
-    images_.clear();
+  if (images_.empty()) {
     images_.resize(vms_.size());
     refs_.assign(vms_.size(), {});
-    ksm_ = vm::KsmIndex{};
     const vm::MemoryProfile prof = effective_profile();
     for (std::size_t i = 0; i < vms_.size(); ++i) {
       // vm_uid is the node id (stable across testbeds of one scenario, so
@@ -211,7 +205,6 @@ void Testbed::sync_images(const std::vector<Bytes>& states) {
       // interning dedups them).
       images_[i].materialize(prof, i + 1, states[i]);
     }
-    have_images_ = true;
   } else {
     for (std::size_t i = 0; i < vms_.size(); ++i) {
       images_[i].update_heap(states[i]);
@@ -219,7 +212,8 @@ void Testbed::sync_images(const std::vector<Bytes>& states) {
   }
 }
 
-void Testbed::write_cow_section(serial::Writer& w, std::size_t i) {
+void Testbed::write_image_section(serial::Writer& w, std::size_t i,
+                                  std::vector<vm::PageHandle>& pins) {
   vm::MemoryImage& img = images_[i];
   std::vector<CachedRef>& refs = refs_[i];
   refs.resize(img.page_count());
@@ -235,37 +229,7 @@ void Testbed::write_cow_section(serial::Writer& w, std::size_t i) {
     }
     s.u64(refs[p].ref.hash);
     s.u32(refs[p].ref.slot);
-    pin_accum_.push_back(store_->get(refs[p].ref));
-  }
-  w.bytes(s.data());
-}
-
-void Testbed::write_shared_map(serial::Writer& w) {
-  serial::Writer s;
-  s.u32(static_cast<std::uint32_t>(ksm_.canonical().size()));
-  for (const auto& [v, p] : ksm_.canonical()) {
-    s.u64(ksm_.page_key(v, p));
-    s.raw_bytes(images_[v].page(p));
-  }
-  w.bytes(s.data());
-  save_stats_.pages_written +=
-      static_cast<std::uint32_t>(ksm_.canonical().size());
-}
-
-void Testbed::write_shared_section(serial::Writer& w, std::size_t i) {
-  const vm::MemoryImage& img = images_[i];
-  serial::Writer s;
-  img.save_meta(s);
-  s.u32(static_cast<std::uint32_t>(img.page_count()));
-  for (std::size_t p = 0; p < img.page_count(); ++p) {
-    if (ksm_.is_shared(i, p)) {
-      s.u8(1);
-      s.u64(ksm_.page_key(i, p));
-    } else {
-      s.u8(0);
-      s.raw_bytes(img.page(p));
-      ++save_stats_.pages_written;
-    }
+    pins.push_back(store_->get(refs[p].ref));
   }
   w.bytes(s.data());
 }
@@ -284,70 +248,28 @@ Bytes Testbed::save_snapshot() {
     states.push_back(section.take());
   }
 
-  const vm::SnapshotMode mode = cfg_.snapshot.mode;
-  const bool images =
-      mode != vm::SnapshotMode::kPlain || cfg_.snapshot.model_memory;
   save_stats_ = SnapshotSaveStats{};
-  save_stats_.mode = mode;
+  sync_images(states);
+  for (const auto& img : images_) {
+    save_stats_.pages_total += static_cast<std::uint32_t>(img.page_count());
+    save_stats_.dirty_pages += static_cast<std::uint32_t>(img.dirty_count());
+    save_stats_.cow_faults += img.cow_faults();
+  }
 
   // Each component serializes into its own length-prefixed section so that
   // decode_snapshot() can split the blob without understanding component
-  // internals.
+  // internals. VM images go to the page store; their sections hold refs.
   serial::Writer w;
   w.boolean(started_);
-  w.u8(static_cast<std::uint8_t>(mode));
-  w.boolean(images);
   w.u32(static_cast<std::uint32_t>(vms_.size()));
-
-  if (images) {
-    sync_images(states);
-    for (const auto& img : images_) {
-      save_stats_.pages_total += static_cast<std::uint32_t>(img.page_count());
-      save_stats_.dirty_pages += static_cast<std::uint32_t>(img.dirty_count());
-      save_stats_.cow_faults += img.cow_faults();
-    }
-  }
-
-  switch (mode) {
-    case vm::SnapshotMode::kPlain:
-      if (!images) {
-        for (const Bytes& state : states) w.bytes(state);
-      } else {
-        for (std::size_t i = 0; i < images_.size(); ++i) {
-          serial::Writer s;
-          images_[i].save_meta(s);
-          s.u32(static_cast<std::uint32_t>(images_[i].page_count()));
-          s.bytes(images_[i].flatten());
-          w.bytes(s.data());
-        }
-        save_stats_.pages_written = save_stats_.pages_total;
-      }
-      break;
-    case vm::SnapshotMode::kShared:
-      // Incremental KSM: only pages dirtied since the previous save are
-      // rehashed before the shared map is emitted.
-      {
-        std::vector<const vm::MemoryImage*> ptrs;
-        ptrs.reserve(images_.size());
-        for (const auto& img : images_) ptrs.push_back(&img);
-        ksm_.rescan(ptrs);
-      }
-      write_shared_map(w);
-      for (std::size_t i = 0; i < images_.size(); ++i)
-        write_shared_section(w, i);
-      break;
-    case vm::SnapshotMode::kCow:
-      pin_accum_.clear();
-      for (std::size_t i = 0; i < images_.size(); ++i) write_cow_section(w, i);
-      last_save_pages_ = std::make_shared<const std::vector<vm::PageHandle>>(
-          std::move(pin_accum_));
-      pin_accum_ = {};
-      break;
-  }
-  if (images) {
-    // New epoch: the next save's delta is relative to this snapshot.
-    for (auto& img : images_) img.clear_dirty();
-  }
+  std::vector<vm::PageHandle> pins;
+  pins.reserve(save_stats_.pages_total);
+  for (std::size_t i = 0; i < images_.size(); ++i)
+    write_image_section(w, i, pins);
+  last_save_pages_ =
+      std::make_shared<const std::vector<vm::PageHandle>>(std::move(pins));
+  // New epoch: the next save's delta is relative to this snapshot.
+  for (auto& img : images_) img.clear_dirty();
 
   {
     serial::Writer section;
@@ -377,16 +299,12 @@ Bytes Testbed::save_snapshot() {
   save_stats_.pages_deduped =
       save_stats_.pages_total - save_stats_.pages_written;
   save_stats_.blob_bytes = blob.size();
-  // cow pages live in the store, not the blob; everything else is inline.
   save_stats_.bytes_written =
       save_stats_.blob_bytes +
-      (mode == vm::SnapshotMode::kCow
-           ? static_cast<std::uint64_t>(save_stats_.pages_written) *
-                 vm::kPageSize
-           : 0);
+      static_cast<std::uint64_t>(save_stats_.pages_written) * vm::kPageSize;
   save_stats_.bytes_deduped =
       static_cast<std::uint64_t>(save_stats_.pages_deduped) * vm::kPageSize;
-  if (store_) save_stats_.store_pages = store_->stats().stored_pages;
+  save_stats_.store_pages = store_->stats().stored_pages;
   if (trace::active()) {
     trace::Counters& c = trace::counters();
     c.snapshot_bytes_written.fetch_add(save_stats_.bytes_written,
@@ -402,46 +320,16 @@ Bytes Testbed::save_snapshot() {
 DecodedSnapshot Testbed::decode_snapshot(BytesView snapshot,
                                          const vm::PageStore* store) {
   fault::inject(fault::kSnapshotDecode);
+  TURRET_CHECK_MSG(store != nullptr,
+                   "snapshot decode requires the search's PageStore");
   serial::Reader r(snapshot);
   DecodedSnapshot d;
   d.started = r.boolean();
-  const std::uint8_t mode_byte = r.u8();
-  if (mode_byte > static_cast<std::uint8_t>(vm::SnapshotMode::kCow)) {
-    throw serial::SerialError("unknown snapshot mode " +
-                              std::to_string(mode_byte));
-  }
-  d.mode = static_cast<vm::SnapshotMode>(mode_byte);
-  d.has_images = r.boolean();
   const std::uint32_t n = r.u32();
-
-  // Shared mode carries its dedup dictionary up front: content key → page.
-  std::unordered_map<std::uint64_t, vm::PageHandle> shared;
-  if (d.mode == vm::SnapshotMode::kShared) {
-    const Bytes section = r.bytes();
-    serial::Reader sr(section);
-    const std::uint32_t count = sr.u32();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint64_t key = sr.u64();
-      const Bytes raw = sr.raw_bytes(vm::kPageSize);
-      auto page = std::make_shared<vm::Page>();
-      std::memcpy(page->bytes.data(), raw.data(), vm::kPageSize);
-      shared.emplace(key, std::move(page));
-    }
-    if (!sr.exhausted())
-      throw serial::SerialError("trailing bytes in shared-page map");
-  }
-  if (d.mode == vm::SnapshotMode::kCow) {
-    TURRET_CHECK_MSG(store != nullptr,
-                     "cow snapshot decode requires the search's PageStore");
-  }
 
   d.vm_sections.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const Bytes section = r.bytes();
-    if (d.mode == vm::SnapshotMode::kPlain && !d.has_images) {
-      d.vm_sections.push_back(section);
-      continue;
-    }
     serial::Reader vr(section);
     const std::uint32_t heap_start = vr.u32();
     const std::uint32_t heap_pages = vr.u32();
@@ -451,55 +339,19 @@ DecodedSnapshot Testbed::decode_snapshot(BytesView snapshot,
         state_bytes > static_cast<std::uint64_t>(heap_pages) * vm::kPageSize) {
       throw serial::SerialError("inconsistent snapshot image metadata");
     }
-    if (d.mode == vm::SnapshotMode::kPlain) {
-      const Bytes flat = vr.bytes();
-      if (flat.size() != static_cast<std::size_t>(pages) * vm::kPageSize)
-        throw serial::SerialError("snapshot image size/page-count mismatch");
-      if (!vr.exhausted())
-        throw serial::SerialError("trailing bytes in snapshot image section");
-      const std::size_t off =
-          static_cast<std::size_t>(heap_start) * vm::kPageSize;
-      d.vm_sections.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(off),
-                                 flat.begin() +
-                                     static_cast<std::ptrdiff_t>(off +
-                                                                 state_bytes));
-      d.image_sections.push_back(section);
-      continue;
-    }
-    // shared / cow: rebuild immutable PageFrames the loader can adopt.
+    // Rebuild immutable PageFrames the loader can adopt.
     auto frames = std::make_shared<vm::PageFrames>();
     frames->heap_start_pfn = heap_start;
     frames->heap_pages = heap_pages;
     frames->state_bytes = state_bytes;
     frames->pages.reserve(pages);
-    if (d.mode == vm::SnapshotMode::kShared) {
-      for (std::uint32_t p = 0; p < pages; ++p) {
-        const std::uint8_t marker = vr.u8();
-        if (marker == 0) {
-          const Bytes raw = vr.raw_bytes(vm::kPageSize);
-          auto page = std::make_shared<vm::Page>();
-          std::memcpy(page->bytes.data(), raw.data(), vm::kPageSize);
-          frames->pages.push_back(std::move(page));
-        } else if (marker == 1) {
-          const std::uint64_t key = vr.u64();
-          const auto it = shared.find(key);
-          if (it == shared.end())
-            throw serial::SerialError(
-                "shared snapshot references a page missing from its map");
-          frames->pages.push_back(it->second);
-        } else {
-          throw serial::SerialError("bad page marker in shared snapshot");
-        }
-      }
-    } else {
-      frames->refs.reserve(pages);
-      for (std::uint32_t p = 0; p < pages; ++p) {
-        vm::PageRef ref;
-        ref.hash = vr.u64();
-        ref.slot = vr.u32();
-        frames->pages.push_back(store->get(ref));
-        frames->refs.push_back(ref);
-      }
+    frames->refs.reserve(pages);
+    for (std::uint32_t p = 0; p < pages; ++p) {
+      vm::PageRef ref;
+      ref.hash = vr.u64();
+      ref.slot = vr.u32();
+      frames->pages.push_back(store->get(ref));
+      frames->refs.push_back(ref);
     }
     if (!vr.exhausted())
       throw serial::SerialError("trailing bytes in snapshot image section");
@@ -543,52 +395,11 @@ void Testbed::load_snapshot(BytesView snapshot) {
   load_snapshot(decode_snapshot(snapshot, store_.get()));
 }
 
-void Testbed::adopt_decoded_images(const DecodedSnapshot& snapshot) {
-  // The restored world starts a fresh dedup epoch; any incremental KSM state
-  // belongs to the world we just discarded.
-  ksm_ = vm::KsmIndex{};
-  if (!snapshot.has_images) {
-    have_images_ = false;
-    images_.clear();
-    refs_.clear();
-    return;
-  }
-  images_.clear();
-  images_.resize(vms_.size());
-  refs_.assign(vms_.size(), {});
-  if (!snapshot.frames.empty()) {
-    TURRET_CHECK_MSG(snapshot.frames.size() == vms_.size(),
-                     "snapshot frame count does not match testbed config");
-    for (std::size_t i = 0; i < vms_.size(); ++i) {
-      images_[i].adopt(snapshot.frames[i]);
-      const auto& fr = *snapshot.frames[i];
-      if (!fr.refs.empty()) {
-        // cow: the decoded refs are already interned — reuse them so the next
-        // save only interns pages this branch actually dirtied.
-        refs_[i].resize(fr.pages.size());
-        for (std::size_t p = 0; p < fr.pages.size(); ++p) {
-          refs_[i][p] = {fr.refs[p], true};
-        }
-      }
-    }
-  } else {
-    TURRET_CHECK_MSG(snapshot.image_sections.size() == vms_.size(),
-                     "snapshot image count does not match testbed config");
-    for (std::size_t i = 0; i < vms_.size(); ++i) {
-      serial::Reader r(snapshot.image_sections[i]);
-      images_[i].load_meta(r);
-      r.u32();  // page count, validated by decode
-      images_[i].assign_pages(r.bytes());
-      images_[i].clear_dirty();
-    }
-  }
-  have_images_ = true;
-}
-
 void Testbed::load_snapshot(const DecodedSnapshot& snapshot) {
   fault::inject(fault::kSnapshotLoad);
   started_ = snapshot.started;
-  TURRET_CHECK_MSG(snapshot.vm_sections.size() == vms_.size(),
+  TURRET_CHECK_MSG(snapshot.vm_sections.size() == vms_.size() &&
+                       snapshot.frames.size() == vms_.size(),
                    "snapshot VM count does not match testbed config");
   // Restore order (reverse of save): network first, then VMs, then resume.
   // Guests are rebuilt fresh, then their state is loaded from their section.
@@ -606,7 +417,17 @@ void Testbed::load_snapshot(const DecodedSnapshot& snapshot) {
   }
   timer_gen_ = snapshot.timers;
   metrics_ = snapshot.metrics;
-  adopt_decoded_images(snapshot);
+  // Adopt the decoded frames copy-on-write. Their refs are already interned,
+  // so the next save only interns pages this branch actually dirtied.
+  images_.clear();
+  images_.resize(vms_.size());
+  refs_.assign(vms_.size(), {});
+  for (std::size_t i = 0; i < vms_.size(); ++i) {
+    const vm::PageFrames& fr = *snapshot.frames[i];
+    images_[i].adopt(snapshot.frames[i]);
+    refs_[i].reserve(fr.refs.size());
+    for (const vm::PageRef& ref : fr.refs) refs_[i].push_back({ref, true});
+  }
 
   for (auto& vm : vms_) vm->resume();  // they were saved in the paused state
   emu_.resume();

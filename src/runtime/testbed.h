@@ -25,7 +25,6 @@
 #include "vm/machine.h"
 #include "vm/memory.h"
 #include "vm/pagestore.h"
-#include "vm/snapshot.h"
 
 namespace turret::runtime {
 
@@ -34,19 +33,19 @@ namespace turret::runtime {
 using GuestFactory =
     std::function<std::unique_ptr<vm::GuestNode>(NodeId id)>;
 
-/// How this testbed encodes whole-system snapshots (DESIGN.md §5e).
+/// How this testbed encodes whole-system snapshots (DESIGN.md §5e): each VM's
+/// memory image is interned page by page into a content-addressed store, and
+/// the snapshot blob holds only page references.
 struct SnapshotPolicy {
-  vm::SnapshotMode mode = vm::SnapshotMode::kPlain;
   /// Model full OS/app/unique memory images per `profile` (benches; makes
   /// snapshots Table-II sized). Off: images hold only the heap region — the
   /// serialized guest state — so dedup works on live protocol state.
   bool model_memory = false;
   vm::MemoryProfile profile;
-  /// The content-addressed store cow snapshots intern into. Must be one
-  /// object shared by every testbed of a search (set it in the scenario
-  /// before constructing worlds); a cow testbed without one gets a private
-  /// store, which is fine standalone but useless for branching.
-  std::shared_ptr<vm::PageStore> store;
+  /// The content-addressed store snapshots intern into. Every testbed of a
+  /// search must share this one object, so copies of a policy (and of the
+  /// Scenario holding it) share the store they were copied from.
+  std::shared_ptr<vm::PageStore> store = std::make_shared<vm::PageStore>();
 };
 
 struct TestbedConfig {
@@ -57,12 +56,11 @@ struct TestbedConfig {
 };
 
 /// What one save_snapshot() call wrote and what it avoided writing; the
-/// accounting behind the snapshot_bytes_* telemetry counters and the
-/// branch-snapshot bench. pages_written counts page contents physically
-/// written anywhere (blob or page store); pages_deduped counts pages encoded
-/// as references to content written earlier.
+/// accounting behind the snapshot_bytes_* telemetry counters.
+/// pages_written counts pages newly interned into the page store;
+/// pages_deduped counts pages encoded as references to content stored
+/// earlier.
 struct SnapshotSaveStats {
-  vm::SnapshotMode mode = vm::SnapshotMode::kPlain;
   std::uint64_t blob_bytes = 0;
   std::uint64_t bytes_written = 0;  ///< blob + newly interned page bytes
   std::uint64_t bytes_deduped = 0;  ///< pages_deduped * kPageSize
@@ -79,17 +77,13 @@ struct SnapshotSaveStats {
 /// pays a copy of plain data structures (timers, metrics) and a per-section
 /// parse of VM/emulator state instead of re-scanning the whole flat blob.
 /// Immutable after decode_snapshot(), so branches on worker threads may load
-/// from one shared DecodedSnapshot concurrently. In shared/cow modes the VM
-/// images are exposed as refcounted immutable PageFrames: every branch that
-/// loads this snapshot adopts them copy-on-write instead of memcpy'ing.
+/// from one shared DecodedSnapshot concurrently. The VM images are exposed
+/// as refcounted immutable PageFrames: every branch that loads this snapshot
+/// adopts them copy-on-write instead of memcpy'ing.
 struct DecodedSnapshot {
   bool started = false;
-  vm::SnapshotMode mode = vm::SnapshotMode::kPlain;
-  bool has_images = false;
   std::vector<Bytes> vm_sections;  ///< one VirtualMachine::save payload each
-  /// plain + model_memory: per-VM flat image sections (meta + raw pages).
-  std::vector<Bytes> image_sections;
-  /// shared/cow: per-VM shared immutable frames (adopted by load_snapshot).
+  /// Per-VM shared immutable frames (adopted by load_snapshot).
   std::vector<std::shared_ptr<const vm::PageFrames>> frames;
   Bytes emu_section;               ///< netem::Emulator::save payload
   std::map<std::pair<NodeId, std::uint64_t>, std::uint64_t> timers;
@@ -126,34 +120,33 @@ class Testbed final : public netem::MessageSink {
 
   // --- Execution branching -------------------------------------------------
 
-  /// Serialize the entire system state (network + all VMs + timers + metrics)
-  /// in the configured snapshot mode. In shared/cow modes only pages dirtied
-  /// since the previous save are rehashed/interned (delta snapshots).
+  /// Serialize the entire system state (network + all VMs + timers + metrics).
+  /// Only pages dirtied since the previous save are rehashed and interned
+  /// (delta snapshots).
   Bytes save_snapshot();
 
   /// Accounting for the most recent save_snapshot() call.
   const SnapshotSaveStats& last_save_stats() const { return save_stats_; }
 
-  /// Cow mode: the store pages referenced by the most recent save_snapshot()
-  /// blob. A non-decoded blob references its pages only through the store,
-  /// so callers that keep the blob across PageStore::evict_unreferenced()
-  /// must hold this pin alongside it. Null in other modes.
+  /// The store pages referenced by the most recent save_snapshot() blob
+  /// (null before the first save). A non-decoded blob references its pages
+  /// only through the store, so callers that keep the blob across
+  /// PageStore::evict_unreferenced() must hold this pin alongside it.
   const std::shared_ptr<const std::vector<vm::PageHandle>>& last_save_pages()
       const {
     return last_save_pages_;
   }
 
-  /// The content-addressed store this testbed interns into (null unless cow).
-  const std::shared_ptr<vm::PageStore>& page_store() const { return store_; }
-
   /// Parse a save_snapshot() blob into its sections. Pure function of the
   /// blob and the page store; safe to call from any thread. `store` is
-  /// required to resolve cow blobs (pass the store the saving testbed used)
-  /// and ignored for other modes.
+  /// required to resolve the blob's page references: pass the store the
+  /// saving testbed used.
   static DecodedSnapshot decode_snapshot(BytesView snapshot,
-                                         const vm::PageStore* store = nullptr);
+                                         const vm::PageStore* store);
 
   /// Restore a snapshot taken from a testbed with identical config/factory.
+  /// The configs must share one page store (copy one config, do not build
+  /// two), since the blob names its pages only by reference.
   void load_snapshot(BytesView snapshot);
 
   /// Same, from a pre-decoded snapshot; `snapshot` is only read and may be
@@ -184,26 +177,23 @@ class Testbed final : public netem::MessageSink {
   /// Materialize the per-VM memory mirrors on first use, then fold each VM's
   /// freshly serialized state into its heap (dirtying only changed pages).
   void sync_images(const std::vector<Bytes>& states);
-  void write_cow_section(serial::Writer& w, std::size_t i);
-  void write_shared_map(serial::Writer& w);
-  void write_shared_section(serial::Writer& w, std::size_t i);
-  void adopt_decoded_images(const DecodedSnapshot& snapshot);
+  /// Intern image `i`'s dirty pages, append its section of page refs to `w`
+  /// and a handle to every page it references to `pins`.
+  void write_image_section(serial::Writer& w, std::size_t i,
+                           std::vector<vm::PageHandle>& pins);
 
   TestbedConfig cfg_;
   GuestFactory factory_;
   netem::Emulator emu_;
   std::vector<std::unique_ptr<vm::VirtualMachine>> vms_;
   MetricsCollector metrics_;
-  /// Snapshot-mode state: per-VM memory mirrors, their cached store refs,
-  /// the incremental KSM index, and the shared page store.
+  /// Snapshot state: per-VM memory mirrors, their cached store refs, and the
+  /// shared page store.
   std::vector<vm::MemoryImage> images_;
   std::vector<std::vector<CachedRef>> refs_;
-  vm::KsmIndex ksm_;
   std::shared_ptr<vm::PageStore> store_;
   SnapshotSaveStats save_stats_;
   std::shared_ptr<const std::vector<vm::PageHandle>> last_save_pages_;
-  std::vector<vm::PageHandle> pin_accum_;  ///< built during a cow save
-  bool have_images_ = false;
   /// One-shot timer generations: key (node, timer id) → latest generation.
   /// A kTimer event fires only if its generation is still current.
   std::map<std::pair<NodeId, std::uint64_t>, std::uint64_t> timer_gen_;

@@ -113,13 +113,15 @@ BranchExecutor::BranchExecutor(const Scenario& sc) : sc_(sc) {
   TURRET_CHECK_MSG(sc.schema != nullptr, "scenario needs a wire schema");
   TURRET_CHECK_MSG(sc.factory != nullptr, "scenario needs a guest factory");
   TURRET_CHECK_MSG(!sc.malicious.empty(), "scenario needs malicious nodes");
-  // Every world of a cow search must intern into ONE store, or refs decoded
-  // in one world would dangle in another; require it up front rather than
-  // letting per-testbed private stores fail mysteriously mid-search.
-  TURRET_CHECK_MSG(sc.testbed.snapshot.mode != vm::SnapshotMode::kCow ||
-                       sc.testbed.snapshot.store != nullptr,
-                   "cow snapshot mode requires a shared PageStore in "
-                   "Scenario::testbed.snapshot.store");
+  // Every world of a search interns into this ONE store, or refs decoded in
+  // one world would dangle in another.
+  TURRET_CHECK_MSG(sc.testbed.snapshot.store != nullptr,
+                   "scenario needs a PageStore in testbed.snapshot.store");
+  // Copies of a Scenario share its store, so pages an earlier search left
+  // behind would turn this search's first saves into dedup hits. Start from
+  // the pages something still pins, so the snapshot_bytes_* and pagestore_*
+  // counters do not depend on what ran before.
+  sc.testbed.snapshot.store->evict_unreferenced();
 }
 
 ScenarioWorld make_scenario_world(const Scenario& sc) {
@@ -602,7 +604,6 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
 
 void BranchExecutor::evict_unreferenced_pages() {
   const std::shared_ptr<vm::PageStore>& store = sc_.testbed.snapshot.store;
-  if (store == nullptr) return;
   const std::size_t evicted = store->evict_unreferenced();
   if (trace::active()) {
     trace::Counters& c = trace::counters();

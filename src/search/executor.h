@@ -107,9 +107,9 @@ class BranchExecutor {
     std::string message_name;
     Time time = 0;  ///< virtual time of the snapshot (just after first send)
     std::shared_ptr<const Bytes> snapshot;
-    /// Cow mode: pins the store pages `snapshot` references, so
-    /// evict_unreferenced_pages() between injection points can never evict a
-    /// page a live (not yet decoded) blob still needs. Null in other modes.
+    /// Pins the store pages `snapshot` references, so that
+    /// evict_unreferenced_pages() between injection points never evicts a
+    /// page a live (not yet decoded) blob still needs.
     std::shared_ptr<const std::vector<vm::PageHandle>> pages;
   };
 
@@ -238,8 +238,8 @@ class BranchExecutor {
   /// Drop every page the shared PageStore holds that no snapshot pins —
   /// algorithms call this between injection points once a point's branches
   /// are done, so a long search's store occupancy tracks the live working
-  /// set instead of growing monotonically. No-op outside cow mode. Updates
-  /// the pagestore_pages / pagestore_bytes / pagestore_evicted counters.
+  /// set instead of growing monotonically. Updates the pagestore_pages /
+  /// pagestore_bytes / pagestore_evicted counters.
   void evict_unreferenced_pages();
 
  private:

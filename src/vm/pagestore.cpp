@@ -7,25 +7,6 @@
 
 namespace turret::vm {
 
-const char* snapshot_mode_name(SnapshotMode m) {
-  switch (m) {
-    case SnapshotMode::kPlain:
-      return "plain";
-    case SnapshotMode::kShared:
-      return "shared";
-    case SnapshotMode::kCow:
-      return "cow";
-  }
-  return "?";
-}
-
-std::optional<SnapshotMode> parse_snapshot_mode(std::string_view name) {
-  if (name == "plain") return SnapshotMode::kPlain;
-  if (name == "shared") return SnapshotMode::kShared;
-  if (name == "cow") return SnapshotMode::kCow;
-  return std::nullopt;
-}
-
 PageStore::Interned PageStore::intern(BytesView content) {
   return intern(content, fnv1a(content));
 }

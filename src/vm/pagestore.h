@@ -19,8 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -29,18 +27,6 @@
 namespace turret::vm {
 
 constexpr std::size_t kPageSize = 4096;
-
-/// How Testbed::save_snapshot encodes VM memory.
-///  - kPlain: stock KVM — every byte of every image, every time.
-///  - kShared: the paper's page-sharing-aware save — one shared page map per
-///    snapshot, per-VM residuals hold references for KSM-shared pages.
-///  - kCow: content-addressed delta — dirty pages are interned into a
-///    PageStore shared across the whole search; the snapshot holds only
-///    references, and restore adopts shared frames copy-on-write.
-enum class SnapshotMode : std::uint8_t { kPlain = 0, kShared = 1, kCow = 2 };
-
-const char* snapshot_mode_name(SnapshotMode m);
-std::optional<SnapshotMode> parse_snapshot_mode(std::string_view name);
 
 /// One immutable 4 KiB page frame.
 struct Page {
@@ -66,9 +52,9 @@ struct PageRef {
 /// only when it first writes to it.
 struct PageFrames {
   std::vector<PageHandle> pages;
-  /// Parallel to `pages` when the frames came from a PageStore (cow mode);
-  /// empty otherwise. Lets an adopting image re-reference clean pages in its
-  /// next save without rehashing them.
+  /// Parallel to `pages` when the frames were decoded from a PageStore: each
+  /// page's name there. Lets an adopting image re-reference clean pages in
+  /// its next save without rehashing them.
   std::vector<PageRef> refs;
   std::uint32_t heap_start_pfn = 0;
   std::uint32_t heap_pages = 0;

@@ -119,68 +119,6 @@ void SnapshotManager::load_plain(std::span<MemoryImage*> vms,
   }
 }
 
-void KsmIndex::insert_page(std::span<const MemoryImage* const> vms,
-                           std::size_t v, std::size_t p) {
-  const std::uint64_t h = vms[v]->page_hash(p);
-  hashes_[v][p] = h;
-  Bucket& b = buckets_[h];
-  if (b.members.empty()) {
-    b.members.push_back({static_cast<std::uint32_t>(v),
-                         static_cast<std::uint32_t>(p)});
-    member_[v][p] = 1;
-    return;
-  }
-  const auto [cv, cp] = b.members.front();
-  if (!pages_equal(vms[cv]->page(cp), vms[v]->page(p))) {
-    // Hash collision with different content: stays private, like KSM's
-    // stable tree which demands byte equality.
-    member_[v][p] = 0;
-    return;
-  }
-  if (cv != v) b.multi_vm = true;
-  b.members.push_back({static_cast<std::uint32_t>(v),
-                       static_cast<std::uint32_t>(p)});
-  member_[v][p] = 1;
-}
-
-void KsmIndex::remove_page(std::size_t v, std::size_t p) {
-  auto it = buckets_.find(hashes_[v][p]);
-  if (it == buckets_.end() || !member_[v][p]) return;
-  Bucket& b = it->second;
-  const std::pair<std::uint32_t, std::uint32_t> key{
-      static_cast<std::uint32_t>(v), static_cast<std::uint32_t>(p)};
-  for (auto m = b.members.begin(); m != b.members.end(); ++m) {
-    if (*m == key) {
-      b.members.erase(m);
-      break;
-    }
-  }
-  member_[v][p] = 0;
-  if (b.members.empty()) {
-    buckets_.erase(it);
-    return;
-  }
-  // Members are pairwise byte-equal, so any survivor is a valid canonical;
-  // recompute multi-VM-ness from what's left.
-  b.multi_vm = false;
-  for (const auto& m : b.members) {
-    if (m.first != b.members.front().first) {
-      b.multi_vm = true;
-      break;
-    }
-  }
-}
-
-void KsmIndex::rebuild_canonical() {
-  canonical_.clear();
-  for (const auto& [h, b] : buckets_) {
-    if (b.multi_vm) {
-      canonical_.push_back({b.members.front().first, b.members.front().second});
-    }
-  }
-  std::sort(canonical_.begin(), canonical_.end());
-}
-
 void KsmIndex::scan(std::span<const MemoryImage* const> vms) {
   buckets_.clear();
   hashes_.assign(vms.size(), {});
@@ -191,38 +129,28 @@ void KsmIndex::scan(std::span<const MemoryImage* const> vms) {
   for (std::size_t v = 0; v < vms.size(); ++v) {
     hashes_[v].resize(vms[v]->page_count());
     member_[v].assign(vms[v]->page_count(), 0);
-    for (std::size_t p = 0; p < vms[v]->page_count(); ++p)
-      insert_page(vms, v, p);
+    for (std::size_t p = 0; p < vms[v]->page_count(); ++p) {
+      const std::uint64_t h = vms[v]->page_hash(p);
+      hashes_[v][p] = h;
+      const auto [it, fresh] = buckets_.try_emplace(
+          h, Bucket{static_cast<std::uint32_t>(v),
+                    static_cast<std::uint32_t>(p), false});
+      Bucket& b = it->second;
+      if (!fresh) {
+        // A hash collision with different content stays private, like KSM's
+        // stable tree which demands byte equality.
+        if (!pages_equal(vms[b.vm]->page(b.pfn), vms[v]->page(p))) continue;
+        if (b.vm != v) b.multi_vm = true;
+      }
+      member_[v][p] = 1;
+    }
   }
   scanned_ = true;
-  rebuild_canonical();
-}
-
-void KsmIndex::rescan(std::span<const MemoryImage* const> vms) {
-  if (!scanned_ || hashes_.size() != vms.size()) {
-    scan(vms);
-    return;
+  canonical_.clear();
+  for (const auto& [h, b] : buckets_) {
+    if (b.multi_vm) canonical_.push_back({b.vm, b.pfn});
   }
-  for (std::size_t v = 0; v < vms.size(); ++v) {
-    if (vms[v]->page_count() < hashes_[v].size()) {
-      scan(vms);  // shrink: shape changed, start over
-      return;
-    }
-  }
-  for (std::size_t v = 0; v < vms.size(); ++v) {
-    const std::size_t old_count = hashes_[v].size();
-    const std::size_t new_count = vms[v]->page_count();
-    if (new_count > old_count) {
-      hashes_[v].resize(new_count, 0);
-      member_[v].resize(new_count, 0);
-    }
-    for (std::size_t p = 0; p < new_count; ++p) {
-      if (!vms[v]->dirty(p)) continue;
-      if (p < old_count) remove_page(v, p);
-      insert_page(vms, v, p);
-    }
-  }
-  rebuild_canonical();
+  std::sort(canonical_.begin(), canonical_.end());
 }
 
 bool KsmIndex::is_shared(std::size_t vm, std::size_t pfn) const {

@@ -1,7 +1,8 @@
-// Snapshot modes end to end: testbed save/load round trips in plain, shared
-// and cow modes; delta-save and dedup accounting; decode hardening; and the
-// load-bearing determinism guarantee — a search produces byte-identical
-// results whatever the snapshot encoding, at any worker count.
+// Branch snapshots end to end: testbed save/load round trips through the
+// content-addressed page store, with and without modelled memory images;
+// delta-save and dedup accounting; decode hardening; and the load-bearing
+// determinism guarantee — a search produces byte-identical results at any
+// worker count and across a journal resume.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -55,17 +56,14 @@ struct PingPong : vm::GuestNode {
   std::string_view kind() const override { return "pingpong"; }
 };
 
-TestbedConfig fleet_config(vm::SnapshotMode mode, bool model_memory,
-                           std::shared_ptr<vm::PageStore> store = nullptr) {
+TestbedConfig fleet_config(bool model_memory) {
   TestbedConfig cfg;
   cfg.net.nodes = 3;
   cfg.net.default_link.delay = kMillisecond;
-  cfg.snapshot.mode = mode;
   cfg.snapshot.model_memory = model_memory;
   cfg.snapshot.profile.os_pages = 16;
   cfg.snapshot.profile.app_pages = 8;
   cfg.snapshot.profile.unique_pages = 8;
-  cfg.snapshot.store = std::move(store);
   return cfg;
 }
 
@@ -86,21 +84,15 @@ void expect_same_world(Testbed& a, Testbed& b) {
                    b.metrics().total("received", 0, 10 * kSecond));
 }
 
-class SnapshotMode : public ::testing::TestWithParam<
-                         std::pair<vm::SnapshotMode, bool>> {};
+class TestbedSnapshot : public ::testing::TestWithParam<bool> {};
 
-TEST_P(SnapshotMode, TestbedRoundTripsAndContinuesIdentically) {
-  const auto [mode, model_memory] = GetParam();
-  auto store = mode == vm::SnapshotMode::kCow
-                   ? std::make_shared<vm::PageStore>()
-                   : nullptr;
-  const TestbedConfig cfg = fleet_config(mode, model_memory, store);
+TEST_P(TestbedSnapshot, RoundTripsAndContinuesIdentically) {
+  const TestbedConfig cfg = fleet_config(/*model_memory=*/GetParam());
 
   Testbed original(cfg, pingpong_factory());
   original.start();
   original.run_for(300 * kMillisecond);
   const Bytes snap = original.save_snapshot();
-  EXPECT_EQ(original.last_save_stats().mode, mode);
 
   // The original continues; a fresh testbed restored from the blob must
   // evolve identically (same virtual clock, same traffic, same state).
@@ -119,53 +111,26 @@ TEST_P(SnapshotMode, TestbedRoundTripsAndContinuesIdentically) {
   expect_same_world(restored, again);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllModes, SnapshotMode,
-    ::testing::Values(std::pair{vm::SnapshotMode::kPlain, false},
-                      std::pair{vm::SnapshotMode::kPlain, true},
-                      std::pair{vm::SnapshotMode::kShared, true},
-                      std::pair{vm::SnapshotMode::kShared, false},
-                      std::pair{vm::SnapshotMode::kCow, true},
-                      std::pair{vm::SnapshotMode::kCow, false}));
+INSTANTIATE_TEST_SUITE_P(Images, TestbedSnapshot, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "ModelMemory" : "HeapOnly";
+                         });
 
 // --- Save accounting --------------------------------------------------------
 
-TEST(SnapshotSaveStats, SharedModeWritesFewerBytesThanPlain) {
-  const auto run_and_save = [](vm::SnapshotMode mode) {
-    auto store = mode == vm::SnapshotMode::kCow
-                     ? std::make_shared<vm::PageStore>()
-                     : nullptr;
-    Testbed tb(fleet_config(mode, /*model_memory=*/true, store),
-               pingpong_factory());
-    tb.start();
-    tb.run_for(200 * kMillisecond);
-    tb.save_snapshot();
-    return tb.last_save_stats();
-  };
-  const auto plain = run_and_save(vm::SnapshotMode::kPlain);
-  const auto shared = run_and_save(vm::SnapshotMode::kShared);
-  const auto cow = run_and_save(vm::SnapshotMode::kCow);
-
-  EXPECT_EQ(plain.pages_deduped, 0u);
-  EXPECT_EQ(plain.pages_written, plain.pages_total);
-  // Three VMs share 24 OS/app pages: both optimized modes dedup them even on
-  // a first save.
-  EXPECT_GT(shared.pages_deduped, 0u);
-  EXPECT_LT(shared.bytes_written, plain.bytes_written);
-  EXPECT_GT(cow.pages_deduped, 0u);
-  EXPECT_LT(cow.bytes_written, plain.bytes_written);
-  EXPECT_GT(cow.store_pages, 0u);
-}
-
 TEST(SnapshotSaveStats, CowSecondSaveWritesOnlyDirtyPages) {
-  auto store = std::make_shared<vm::PageStore>();
-  Testbed tb(fleet_config(vm::SnapshotMode::kCow, true, store),
-             pingpong_factory());
+  const TestbedConfig cfg = fleet_config(/*model_memory=*/true);
+  Testbed tb(cfg, pingpong_factory());
   tb.start();
   tb.run_for(200 * kMillisecond);
   tb.save_snapshot();
   const auto first = tb.last_save_stats();
   EXPECT_GT(first.pages_written, 0u);
+  // Three VMs share 24 OS/app pages: even a first save dedups them.
+  EXPECT_GT(first.pages_deduped, 0u);
+  EXPECT_LT(first.bytes_written,
+            static_cast<std::uint64_t>(first.pages_total) * vm::kPageSize);
+  EXPECT_GT(first.store_pages, 0u);
 
   tb.run_for(50 * kMillisecond);
   tb.save_snapshot();
@@ -179,8 +144,7 @@ TEST(SnapshotSaveStats, CowSecondSaveWritesOnlyDirtyPages) {
 
   // An identical fleet interning into the same store dedups everything the
   // first testbed already wrote except its own private progress.
-  Testbed twin(fleet_config(vm::SnapshotMode::kCow, true, store),
-               pingpong_factory());
+  Testbed twin(cfg, pingpong_factory());
   twin.start();
   twin.run_for(200 * kMillisecond);
   twin.save_snapshot();
@@ -191,26 +155,30 @@ TEST(SnapshotSaveStats, CowSecondSaveWritesOnlyDirtyPages) {
 // --- Decode hardening -------------------------------------------------------
 
 TEST(SnapshotDecode, RejectsCorruptBlobs) {
-  Testbed tb(fleet_config(vm::SnapshotMode::kPlain, false),
-             pingpong_factory());
+  const TestbedConfig cfg = fleet_config(/*model_memory=*/false);
+  Testbed tb(cfg, pingpong_factory());
   tb.start();
   tb.run_for(100 * kMillisecond);
-  Bytes snap = tb.save_snapshot();
+  const Bytes snap = tb.save_snapshot();
+  const vm::PageStore* store = cfg.snapshot.store.get();
 
   // Truncation anywhere must throw, never read out of bounds.
   Bytes truncated(snap.begin(), snap.begin() + snap.size() / 2);
-  EXPECT_THROW(Testbed::decode_snapshot(truncated), serial::SerialError);
+  EXPECT_THROW(Testbed::decode_snapshot(truncated, store), serial::SerialError);
 
-  // Byte 1 is the mode; an unknown value is rejected up front.
-  Bytes bad_mode = snap;
-  bad_mode[1] = 7;
-  EXPECT_THROW(Testbed::decode_snapshot(bad_mode), serial::SerialError);
+  // The first VM section's heap_start follows started(1) + nvms(4) + its
+  // length prefix(4); a heap past the end of the image is rejected.
+  Bytes bad_meta = snap;
+  const std::size_t heap_start_off = 1 + 4 + 4;
+  ASSERT_GT(bad_meta.size(), heap_start_off + 4);
+  for (std::size_t i = 0; i < 4; ++i) bad_meta[heap_start_off + i] = 0xff;
+  EXPECT_THROW(Testbed::decode_snapshot(bad_meta, store), serial::SerialError);
 }
 
 TEST(SnapshotDecode, CowBlobRequiresItsStore) {
-  auto store = std::make_shared<vm::PageStore>();
-  Testbed tb(fleet_config(vm::SnapshotMode::kCow, false, store),
-             pingpong_factory());
+  const TestbedConfig cfg = fleet_config(/*model_memory=*/false);
+  const std::shared_ptr<vm::PageStore>& store = cfg.snapshot.store;
+  Testbed tb(cfg, pingpong_factory());
   tb.start();
   tb.run_for(100 * kMillisecond);
   const Bytes snap = tb.save_snapshot();
@@ -223,22 +191,7 @@ TEST(SnapshotDecode, CowBlobRequiresItsStore) {
   EXPECT_NO_THROW(Testbed::decode_snapshot(snap, store.get()));
 }
 
-TEST(SnapshotDecode, SharedBlobWithDamagedMapThrows) {
-  Testbed tb(fleet_config(vm::SnapshotMode::kShared, true),
-             pingpong_factory());
-  tb.start();
-  tb.run_for(100 * kMillisecond);
-  Bytes snap = tb.save_snapshot();
-  // The shared map section starts after started(1) + mode(1) + images(1) +
-  // nvms(4) + its length prefix(4); zero its first page's key so per-VM
-  // references no longer resolve.
-  const std::size_t key_off = 1 + 1 + 1 + 4 + 4;
-  ASSERT_GT(snap.size(), key_off + 8);
-  for (std::size_t i = 0; i < 8; ++i) snap[key_off + i] ^= 0xff;
-  EXPECT_THROW(Testbed::decode_snapshot(snap), serial::SerialError);
-}
-
-// --- Search determinism across modes ---------------------------------------
+// --- Search determinism -----------------------------------------------------
 
 // The PBFT focus schema from the parallel-search determinism suite: a small
 // action space keeps many whole-search runs affordable.
@@ -264,7 +217,7 @@ const wire::Schema& focus_schema() {
   return s;
 }
 
-Scenario pbft_scenario(vm::SnapshotMode mode) {
+Scenario pbft_scenario() {
   Scenario sc = systems::pbft::make_pbft_scenario();
   sc.schema = &focus_schema();
   sc.warmup = 2 * kSecond;
@@ -276,9 +229,6 @@ Scenario pbft_scenario(vm::SnapshotMode mode) {
   sc.actions.divert = false;
   sc.actions.lie_random = false;
   sc.actions.relative_operands = {1000};
-  sc.testbed.snapshot.mode = mode;
-  if (mode == vm::SnapshotMode::kCow)
-    sc.testbed.snapshot.store = std::make_shared<vm::PageStore>();
   return sc;
 }
 
@@ -304,64 +254,44 @@ void expect_identical(const SearchResult& a, const SearchResult& b) {
   }
 }
 
-TEST(SnapshotModeDeterminism, SearchResultIdenticalAcrossModesAndJobs) {
-  SearchResult reference;
-  bool have_reference = false;
-  for (const auto mode :
-       {vm::SnapshotMode::kPlain, vm::SnapshotMode::kShared,
-        vm::SnapshotMode::kCow}) {
-    for (const unsigned jobs : {1u, 4u}) {
-      const Scenario sc = pbft_scenario(mode);
-      set_default_jobs(jobs);
-      const SearchResult res = weighted_greedy_search(sc);
-      set_default_jobs(0);
-      if (!have_reference) {
-        EXPECT_FALSE(res.attacks.empty())
-            << "no attacks found; determinism check would be vacuous";
-        reference = res;
-        have_reference = true;
-      } else {
-        SCOPED_TRACE(std::string("mode=") + vm::snapshot_mode_name(mode) +
-                     " jobs=" + std::to_string(jobs));
-        expect_identical(reference, res);
-      }
-    }
-  }
+TEST(SnapshotDeterminism, SearchResultIdenticalAcrossJobs) {
+  set_default_jobs(1);
+  const SearchResult serial = weighted_greedy_search(pbft_scenario());
+  set_default_jobs(4);
+  const SearchResult parallel = weighted_greedy_search(pbft_scenario());
+  set_default_jobs(0);
+  EXPECT_FALSE(serial.attacks.empty())
+      << "no attacks found; determinism check would be vacuous";
+  expect_identical(serial, parallel);
 }
 
 std::string tmp_path(const std::string& stem) {
-  return ::testing::TempDir() + "turret_snapmode_" + stem + ".journal";
+  return ::testing::TempDir() + "turret_snapshot_" + stem + ".journal";
 }
 
-TEST(SnapshotModeDeterminism, CowJournalResumeMatchesPlainLive) {
-  const std::string path = tmp_path("cow");
+TEST(SnapshotDeterminism, JournalResumeMatchesLive) {
+  const std::string path = tmp_path("resume");
   set_default_jobs(1);
-  SearchResult plain_live = weighted_greedy_search(
-      pbft_scenario(vm::SnapshotMode::kPlain));
-
-  SearchResult cow_live;
+  SearchResult live;
   {
     auto j = Journal::open(path, false);
-    cow_live = weighted_greedy_search(pbft_scenario(vm::SnapshotMode::kCow),
-                                      {}, nullptr, j.get());
+    live = weighted_greedy_search(pbft_scenario(), {}, nullptr, j.get());
     EXPECT_GT(j->appended(), 0u);
   }
-  SearchResult cow_resumed;
+  SearchResult resumed;
   {
     auto j = Journal::open(path, true);
-    cow_resumed = weighted_greedy_search(
-        pbft_scenario(vm::SnapshotMode::kCow), {}, nullptr, j.get());
+    resumed = weighted_greedy_search(pbft_scenario(), {}, nullptr, j.get());
     EXPECT_EQ(j->appended(), 0u) << "complete journal: nothing re-executes";
   }
   set_default_jobs(0);
-  expect_identical(plain_live, cow_live);
-  expect_identical(cow_live, cow_resumed);
+  expect_identical(live, resumed);
   std::remove(path.c_str());
 }
 
-TEST(SnapshotModeDeterminism, ProvenanceJsonByteIdenticalPlainVsCow) {
-  const auto provenance_of = [](vm::SnapshotMode mode, unsigned jobs) {
-    Scenario sc = pbft_scenario(mode);
+TEST(SnapshotDeterminism, ProvenanceJsonByteIdenticalAcrossJobs) {
+  const auto provenance_of = [](unsigned jobs) {
+    Scenario sc = pbft_scenario();
     sc.testbed.net.capture.enabled = true;
     set_default_jobs(jobs);
     ProvenanceStore store;
@@ -370,12 +300,9 @@ TEST(SnapshotModeDeterminism, ProvenanceJsonByteIdenticalPlainVsCow) {
     set_default_jobs(0);
     return provenance_json(sc, res, store);
   };
-  const std::string plain1 = provenance_of(vm::SnapshotMode::kPlain, 1);
-  const std::string cow1 = provenance_of(vm::SnapshotMode::kCow, 1);
-  const std::string cow4 = provenance_of(vm::SnapshotMode::kCow, 4);
-  EXPECT_EQ(plain1, cow1);
-  EXPECT_EQ(plain1, cow4);
-  EXPECT_NE(plain1.find("\"provenance\""), std::string::npos);
+  const std::string serial = provenance_of(1);
+  EXPECT_EQ(serial, provenance_of(4));
+  EXPECT_NE(serial.find("\"provenance\""), std::string::npos);
 }
 
 }  // namespace

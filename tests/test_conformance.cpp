@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "search/executor.h"
+#include "systems/pbft/pbft_scenario.h"
 #include "systems/registry.h"
 #include "wire/signed_adapter.h"
 
@@ -132,6 +133,38 @@ TEST_P(SystemConformance, BranchedExecutionMatchesOriginal) {
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, SystemConformance,
                          ::testing::ValuesIn(registered_names()),
+                         [](const auto& info) { return info.param; });
+
+// Every default Scenario carries the one page store its search's worlds
+// share, with no caller setting it: the registry entries and
+// make_pbft_scenario both yield scenarios that discover injection points and
+// branch from them.
+constexpr char kPbftFactory[] = "make_pbft_scenario";
+
+class DefaultScenario : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DefaultScenario, CarriesAPageStoreAndBranches) {
+  const search::Scenario sc = GetParam() == kPbftFactory
+                                  ? systems::pbft::make_pbft_scenario()
+                                  : scenario_for(GetParam());
+  ASSERT_NE(sc.testbed.snapshot.store, nullptr);
+  search::BranchExecutor exec(sc);
+  const auto& points = exec.discover();
+  ASSERT_FALSE(points.empty());
+  EXPECT_NE(points.front().pages, nullptr);
+  EXPECT_GT(sc.testbed.snapshot.store->size(), 0u);
+  const auto baseline = exec.try_run_branch(points.front(), nullptr, 1);
+  EXPECT_TRUE(baseline.ok()) << baseline.error;
+}
+
+std::vector<std::string> scenario_sources() {
+  std::vector<std::string> names = registered_names();
+  names.emplace_back(kPbftFactory);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllScenarios, DefaultScenario,
+                         ::testing::ValuesIn(scenario_sources()),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

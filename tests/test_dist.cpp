@@ -363,9 +363,7 @@ TEST(DistSearch, ForkedWorkersMatchInProcessAtAnyCount) {
 }
 
 TEST(DistSearch, CowPagesShipAcrossProcesses) {
-  Scenario sc = pbft_scenario();
-  sc.testbed.snapshot.mode = vm::SnapshotMode::kCow;
-  sc.testbed.snapshot.store = std::make_shared<vm::PageStore>();
+  const Scenario sc = pbft_scenario();
   const std::string ref = weighted_greedy_search(sc).to_json();
 
   trace::ScopedTrace t(trace::Clock::kVirtual);
@@ -380,7 +378,7 @@ TEST(DistSearch, CowPagesShipAcrossProcesses) {
       weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr, &coord);
   coord.shutdown();
   EXPECT_EQ(res.to_json(), ref)
-      << "cow-mode remote execution diverged from in-process";
+      << "remote execution diverged from in-process";
   EXPECT_GT(trace::counters().dist_units_sent.load(std::memory_order_relaxed),
             sent_before)
       << "nothing was actually shipped; the parity check would be vacuous";

@@ -1,8 +1,7 @@
 // The content-addressed PageStore, MemoryImage dirty tracking / COW
-// adoption, and the incremental + hardened KsmIndex (DESIGN.md §5e).
+// adoption, and the hardened KsmIndex (DESIGN.md §5e).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 
 #include "vm/memory.h"
@@ -101,16 +100,6 @@ TEST(PageStore, EvictsOnlyUnreferencedPages) {
   holder.reset();
   EXPECT_EQ(store.evict_unreferenced(), 1u);
   EXPECT_EQ(store.size(), 0u);
-}
-
-TEST(PageStore, SnapshotModeNamesRoundTrip) {
-  for (const auto m :
-       {SnapshotMode::kPlain, SnapshotMode::kShared, SnapshotMode::kCow}) {
-    const auto parsed = parse_snapshot_mode(snapshot_mode_name(m));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, m);
-  }
-  EXPECT_FALSE(parse_snapshot_mode("bogus").has_value());
 }
 
 // --- MemoryImage dirty tracking ---------------------------------------------
@@ -246,7 +235,7 @@ TEST(MemoryImageCow, HeapGrowthOnAdoptedImage) {
   EXPECT_TRUE(branch.adopted()) << "growth keeps the shared base";
 }
 
-// --- KsmIndex hardening and incremental rescan ------------------------------
+// --- KsmIndex hardening -----------------------------------------------------
 
 TEST(KsmIndex, SafeDefaultsBeforeScan) {
   KsmIndex ksm;
@@ -271,101 +260,6 @@ TEST(KsmIndex, OutOfRangeQueriesAreSafeAfterScan) {
   // In-range OS pages are shared across the two VMs.
   EXPECT_TRUE(ksm.is_shared(0, 0));
   EXPECT_NE(ksm.page_key(0, 0), 0u);
-}
-
-/// rescan() after targeted writes must agree with a from-scratch scan() of
-/// the same fleet on everything that matters: which pages are shared, their
-/// content keys, and the set of distinct shared contents. (The canonical
-/// *representative* of a bucket may differ — it is an arbitrary member, and
-/// only its content reaches the shared map.)
-void expect_rescan_matches_full_scan(const std::vector<MemoryImage>& fleet,
-                                     const KsmIndex& incremental) {
-  std::vector<const MemoryImage*> ptrs;
-  for (const auto& m : fleet) ptrs.push_back(&m);
-  KsmIndex fresh;
-  fresh.scan(ptrs);
-  ASSERT_EQ(fresh.canonical().size(), incremental.canonical().size());
-  std::vector<std::uint64_t> fresh_keys, inc_keys;
-  for (const auto& [v, p] : fresh.canonical())
-    fresh_keys.push_back(fresh.page_key(v, p));
-  for (const auto& [v, p] : incremental.canonical())
-    inc_keys.push_back(incremental.page_key(v, p));
-  std::sort(fresh_keys.begin(), fresh_keys.end());
-  std::sort(inc_keys.begin(), inc_keys.end());
-  ASSERT_EQ(fresh_keys, inc_keys);
-  for (std::size_t v = 0; v < fleet.size(); ++v) {
-    for (std::size_t p = 0; p < fleet[v].page_count(); ++p) {
-      ASSERT_EQ(fresh.is_shared(v, p), incremental.is_shared(v, p))
-          << "vm " << v << " pfn " << p;
-      ASSERT_EQ(fresh.page_key(v, p), incremental.page_key(v, p))
-          << "vm " << v << " pfn " << p;
-    }
-  }
-}
-
-TEST(KsmIndex, RescanTracksDirtyPages) {
-  std::vector<MemoryImage> fleet(3);
-  for (std::size_t i = 0; i < 3; ++i)
-    fleet[i].materialize(small_profile(), i + 1,
-                         to_bytes("vm state " + std::to_string(i)));
-  std::vector<const MemoryImage*> ptrs;
-  for (const auto& m : fleet) ptrs.push_back(&m);
-
-  KsmIndex ksm;
-  ksm.scan(ptrs);
-  for (auto& m : fleet) m.clear_dirty();
-
-  // Break sharing of one OS page on vm0, and make vm1/vm2 share a new page.
-  fleet[0].set_page(0, Bytes(kPageSize, 0xd0));
-  const Bytes common(kPageSize, 0xd1);
-  fleet[1].set_page(fleet[1].page_count() - 1, common);
-  fleet[2].set_page(fleet[2].page_count() - 1, common);
-  ksm.rescan(ptrs);
-  EXPECT_FALSE(ksm.is_shared(0, 0));
-  EXPECT_TRUE(ksm.is_shared(1, fleet[1].page_count() - 1));
-  expect_rescan_matches_full_scan(fleet, ksm);
-
-  // A second round: restore vm0's page 0 to the common OS content.
-  for (auto& m : fleet) m.clear_dirty();
-  fleet[0].set_page(0, fleet[1].page(0));
-  ksm.rescan(ptrs);
-  EXPECT_TRUE(ksm.is_shared(0, 0));
-  expect_rescan_matches_full_scan(fleet, ksm);
-}
-
-TEST(KsmIndex, RescanHandlesHeapGrowth) {
-  std::vector<MemoryImage> fleet(2);
-  for (std::size_t i = 0; i < 2; ++i)
-    fleet[i].materialize(small_profile(), i + 1, to_bytes("tiny"));
-  std::vector<const MemoryImage*> ptrs{&fleet[0], &fleet[1]};
-  KsmIndex ksm;
-  ksm.scan(ptrs);
-  for (auto& m : fleet) m.clear_dirty();
-
-  // Grow both heaps with identical content: new pages should end up shared.
-  const Bytes big(3 * kPageSize, 0x66);
-  fleet[0].update_heap(big);
-  fleet[1].update_heap(big);
-  ksm.rescan(ptrs);
-  EXPECT_TRUE(ksm.is_shared(0, fleet[0].page_count() - 1));
-  expect_rescan_matches_full_scan(fleet, ksm);
-}
-
-TEST(KsmIndex, RescanFallsBackOnFleetShapeChange) {
-  std::vector<MemoryImage> fleet(2);
-  for (std::size_t i = 0; i < 2; ++i)
-    fleet[i].materialize(small_profile(), i + 1, to_bytes("s"));
-  std::vector<const MemoryImage*> ptrs{&fleet[0], &fleet[1]};
-  KsmIndex ksm;
-  ksm.rescan(ptrs);  // never scanned: falls back to full scan
-  EXPECT_TRUE(ksm.scanned());
-
-  std::vector<MemoryImage> bigger(3);
-  for (std::size_t i = 0; i < 3; ++i)
-    bigger[i].materialize(small_profile(), i + 1, to_bytes("s"));
-  std::vector<const MemoryImage*> bptrs{&bigger[0], &bigger[1], &bigger[2]};
-  ksm.rescan(bptrs);  // fleet grew: full scan again
-  expect_rescan_matches_full_scan(bigger, ksm);
 }
 
 // --- load_shared error paths (satellite: snapshot corruption) ---------------

@@ -231,12 +231,15 @@ TEST(Testbed, ConsumeCpuDelaysQueuedInput) {
 }
 
 TEST(Testbed, SnapshotCapturesTimersInFlight) {
-  Testbed a(two_nodes(), [](NodeId) { return std::make_unique<Worker>(); });
+  // Both testbeds share one config, and with it the page store the snapshot
+  // references.
+  const TestbedConfig cfg = two_nodes();
+  Testbed a(cfg, [](NodeId) { return std::make_unique<Worker>(); });
   a.start();
   a.run_for(5 * kMillisecond);  // first timer (10 ms) still pending
   const Bytes snap = a.save_snapshot();
 
-  Testbed b(two_nodes(), [](NodeId) { return std::make_unique<Worker>(); });
+  Testbed b(cfg, [](NodeId) { return std::make_unique<Worker>(); });
   b.load_snapshot(snap);
   b.run_until(100 * kMillisecond);
   EXPECT_EQ(dynamic_cast<Worker&>(b.machine(0).guest()).timer_fires, 3);
@@ -245,7 +248,8 @@ TEST(Testbed, SnapshotCapturesTimersInFlight) {
 }
 
 TEST(Testbed, SnapshotPreservesCrashState) {
-  Testbed a(two_nodes(), [](NodeId id) {
+  const TestbedConfig cfg = two_nodes();
+  Testbed a(cfg, [](NodeId id) {
     auto g = std::make_unique<Worker>();
     g->crash_on_message = (id == 1);
     return g;
@@ -256,7 +260,7 @@ TEST(Testbed, SnapshotPreservesCrashState) {
   ASSERT_EQ(a.crashed_nodes().size(), 1u);
   const Bytes snap = a.save_snapshot();
 
-  Testbed b(two_nodes(), [](NodeId) { return std::make_unique<Worker>(); });
+  Testbed b(cfg, [](NodeId) { return std::make_unique<Worker>(); });
   b.load_snapshot(snap);
   ASSERT_EQ(b.crashed_nodes().size(), 1u);
   EXPECT_EQ(b.machine(1).crash_reason(), "boom");
