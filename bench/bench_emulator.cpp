@@ -1,10 +1,11 @@
-// Emulator hot-path throughput: zero-copy message fabric + calendar-queue
-// dispatch vs the pre-change design, on a 100-node fleet.
+// Emulator hot-path throughput: zero-copy message fabric + compact-key heap
+// dispatch vs the pre-fabric design, on a 100-node fleet.
 //
 // The measured side is the real netem::Emulator (refcounted MessageBuf views
-// for fragmentation/reassembly, calendar queue with slab-pooled nodes, flat
-// link/reassembly tables). The baseline reimplements, faithfully and in this
-// file, the algorithm the emulator used before: a binary heap of events whose
+// for fragmentation/reassembly, a binary heap of 24-byte (at, seq, node*)
+// keys over slab-pooled event nodes, flat link/reassembly tables). The
+// baseline reimplements, faithfully and in this file, the algorithm the
+// emulator used before the fabric: a binary heap of whole events whose
 // packets own freshly copied Bytes payloads, per-fragment payload copies at
 // fragmentation, memcpy-into-place std::map reassembly, and a std::map probe
 // for link overrides on every transmit. Both sides run the identical message
@@ -12,7 +13,7 @@
 // device work (header sanity + 16-bit checksum scan), so the ratio isolates
 // the data-path change.
 //
-// Output: one JSON object. --min-ratio R exits nonzero when the calendar
+// Output: one JSON object. --min-ratio R exits nonzero when the fabric
 // path fails to beat the baseline by at least R× events/sec — CI runs this
 // with --min-ratio 2 as the emulator-perf regression gate.
 #include <algorithm>

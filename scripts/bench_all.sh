@@ -38,7 +38,7 @@ trap 'rm -rf "$TMP"' EXIT
   --benchmark_min_time="$QUICK_MIN_TIME" \
   --benchmark_format=json >"$TMP/fig4_netdevice.json"
 
-# Emulator fabric throughput: real zero-copy/calendar-queue emulator vs an
+# Emulator fabric throughput: real zero-copy/heap-dispatch emulator vs an
 # in-file replica of the pre-change heap-and-copy path on the 100-node storm
 # (single JSON object; the ratio gate runs in CI, not here).
 "$BUILD_DIR/bench/bench_emulator" >"$TMP/emulator.json"

@@ -1,6 +1,6 @@
 // Slab pool: block-allocated object recycling for hot-path node types.
 //
-// The calendar queue churns through one node per scheduled event; allocating
+// The event queue churns through one node per scheduled event; allocating
 // each from the global heap puts malloc/free on the dispatch hot path and
 // scatters nodes across the address space. SlabPool carves nodes out of
 // fixed-size slabs and recycles them through an intrusive free list, so

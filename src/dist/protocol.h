@@ -62,7 +62,9 @@ constexpr std::uint32_t kMaxFramePayload = 256u << 20;
 // v4: snapshot blobs always reference pages in the page store, so every
 // work unit may carry page deltas; the scenario fingerprint has no
 // snapshot-encoding term.
-constexpr std::uint32_t kProtocolVersion = 4;
+// v5: snapshot blobs carry no timer section; each armed guest timer is one
+// kTimer event in the emulator section.
+constexpr std::uint32_t kProtocolVersion = 5;
 
 struct Frame {
   FrameType type = FrameType::kHello;

@@ -73,6 +73,7 @@ Emulator::Emulator(NetConfig cfg)
     if (src < cfg_.nodes && dst < cfg_.nodes)
       resolved_links_[static_cast<std::size_t>(src) * cfg_.nodes + dst] = spec;
   }
+  timers_.resize(cfg_.nodes);
   devices_.reserve(cfg_.nodes);
   for (NodeId i = 0; i < cfg_.nodes; ++i)
     devices_.push_back(make_device(cfg_.device, cfg_.nodes));
@@ -89,8 +90,9 @@ Bytes Emulator::snap_head(BytesView payload) const {
   return Bytes(payload.begin(), payload.begin() + n);
 }
 
-void Emulator::push_event(Time at, EventKind kind, NodeId node, std::uint64_t a,
-                          std::uint64_t b, Packet packet) {
+EventQueue::Node* Emulator::push_event(Time at, EventKind kind, NodeId node,
+                                      std::uint64_t a, std::uint64_t b,
+                                      Packet packet) {
   Event e;
   e.at = at;
   e.seq = next_seq_++;
@@ -99,13 +101,13 @@ void Emulator::push_event(Time at, EventKind kind, NodeId node, std::uint64_t a,
   e.a = a;
   e.b = b;
   e.packet = std::move(packet);
-  queue_.push(std::move(e));
+  return queue_.push(std::move(e));
 }
 
 void Emulator::send_message(NodeId src, NodeId dst, MessageBuf message) {
   TURRET_CHECK(src < cfg_.nodes && dst < cfg_.nodes);
   ++stats_.messages_sent;
-  if (proxy_ != nullptr) {
+  if (proxy_ != nullptr && proxy_->intercepts(src)) {
     auto deliveries = proxy_->on_send(now_, src, dst, message);
     if (deliveries.empty()) {
       ++stats_.messages_dropped_by_proxy;
@@ -238,7 +240,38 @@ void Emulator::transmit(NodeId src, NodeId dst, MessageBuf message) {
 void Emulator::schedule(Duration delay, EventKind kind, NodeId node,
                         std::uint64_t a, std::uint64_t b) {
   TURRET_CHECK(delay >= 0);
+  TURRET_CHECK_MSG(kind != EventKind::kTimer, "timers go through set_timer");
   push_event(now_ + delay, kind, node, a, b);
+}
+
+EventQueue::Node* Emulator::take_timer(NodeId node, std::uint64_t id) {
+  std::vector<TimerSlot>& armed = timers_[node];
+  for (TimerSlot& t : armed) {
+    if (t.id != id) continue;
+    EventQueue::Node* n = t.node;
+    t = armed.back();
+    armed.pop_back();
+    return n;
+  }
+  return nullptr;
+}
+
+void Emulator::set_timer(NodeId node, std::uint64_t id, Duration delay) {
+  TURRET_CHECK(delay >= 0);
+  TURRET_CHECK(node < cfg_.nodes);
+  EventQueue::Node* n = take_timer(node, id);
+  if (n != nullptr) {
+    queue_.retime(n, now_ + delay, next_seq_++);
+  } else {
+    n = push_event(now_ + delay, EventKind::kTimer, node, id, 0);
+  }
+  timers_[node].push_back({id, n});
+}
+
+void Emulator::cancel_timer(NodeId node, std::uint64_t id) {
+  TURRET_CHECK(node < cfg_.nodes);
+  EventQueue::Node* n = take_timer(node, id);
+  if (n != nullptr) queue_.erase(n);
 }
 
 bool Emulator::step() {
@@ -249,6 +282,7 @@ bool Emulator::step() {
         " events processed at " + format_time(now_));
   }
   Event ev = queue_.pop();
+  if (ev.kind == EventKind::kTimer) take_timer(ev.node, ev.a);
   TURRET_CHECK_MSG(ev.at >= now_, "event scheduled in the past");
   now_ = ev.at;
   ++stats_.events_processed;
@@ -391,7 +425,7 @@ void Emulator::save(serial::Writer& w) const {
   w.u64(next_msg_id_);
   // Canonical (at, seq) order: a pure function of the queue's content, so
   // identical states produce identical blobs regardless of push history or
-  // calendar geometry.
+  // heap layout. Each armed guest timer is exactly one kTimer event.
   const std::vector<const Event*> events = queue_.sorted();
   w.u32(static_cast<std::uint32_t>(events.size()));
   for (const Event* e : events) e->save(w);
@@ -439,8 +473,16 @@ void Emulator::load(serial::Reader& r) {
   next_seq_ = r.u64();
   next_msg_id_ = r.u64();
   queue_.clear();
+  for (auto& armed : timers_) armed.clear();
   const std::uint32_t n_events = r.u32();
-  for (std::uint32_t i = 0; i < n_events; ++i) queue_.push(Event::load(r));
+  for (std::uint32_t i = 0; i < n_events; ++i) {
+    EventQueue::Node* n = queue_.push(Event::load(r));
+    if (n->ev.kind != EventKind::kTimer) continue;
+    const bool fresh = n->ev.node < cfg_.nodes &&
+                       take_timer(n->ev.node, n->ev.a) == nullptr;
+    TURRET_CHECK_MSG(fresh, "snapshot holds a stray or duplicate timer event");
+    timers_[n->ev.node].push_back({n->ev.a, n});
+  }
   auto links = r.vec<LinkState>([](serial::Reader& rr) {
     LinkState l;
     l.busy_until = rr.i64();

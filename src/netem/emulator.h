@@ -61,8 +61,8 @@ class MessageSink {
 };
 
 /// The malicious proxy's hook on the emulator ingress path. Called for every
-/// message entering the network; the implementation decides whether the
-/// sender is malicious and what to do with the message.
+/// message entering the network from a sender it intercepts(); the
+/// implementation decides what to do with the message.
 class IngressInterceptor {
  public:
   struct Delivery {
@@ -83,6 +83,14 @@ class IngressInterceptor {
   };
 
   virtual ~IngressInterceptor() = default;
+
+  /// False when on_send() would return exactly one undelayed delivery to
+  /// `dst` sharing the incoming buffer, with no side effects, for every
+  /// message from `src`. The emulator then skips on_send() for that sender.
+  virtual bool intercepts(NodeId src) const {
+    (void)src;
+    return true;
+  }
 
   /// Returns the deliveries replacing this send (empty = dropped). `now` is
   /// the emulated time of the send (the interceptor has no clock of its own;
@@ -154,9 +162,16 @@ class Emulator {
   /// zero-copy views of the buffer.
   void send_message(NodeId src, NodeId dst, MessageBuf message);
 
-  /// Schedule a non-packet event `delay` from now.
+  /// Schedule a kHandlerDone or kControl event `delay` from now.
   void schedule(Duration delay, EventKind kind, NodeId node, std::uint64_t a,
                 std::uint64_t b);
+
+  /// Arm guest timer `id` of `node` to fire `delay` from now, replacing its
+  /// pending instance in place: a guest timer has at most one queued event.
+  /// Each arm takes a fresh seq, exactly as a new event would.
+  void set_timer(NodeId node, std::uint64_t id, Duration delay);
+  /// Remove timer `id` of `node` from the queue; a no-op when not armed.
+  void cancel_timer(NodeId node, std::uint64_t id);
 
   /// Process the next event if any and not frozen. Returns false when the
   /// queue is empty or the emulator is frozen.
@@ -225,8 +240,19 @@ class Emulator {
     return resolved_links_[static_cast<std::size_t>(src) * cfg_.nodes + dst];
   }
 
-  void push_event(Time at, EventKind kind, NodeId node, std::uint64_t a,
-                  std::uint64_t b, Packet packet = {});
+  /// A guest timer's pending queue entry.
+  struct TimerSlot {
+    std::uint64_t id;
+    EventQueue::Node* node;
+  };
+
+  EventQueue::Node* push_event(Time at, EventKind kind, NodeId node,
+                               std::uint64_t a, std::uint64_t b,
+                               Packet packet = {});
+  /// Unlink timer `id` of `node` from timers_ and return its queue entry,
+  /// or nullptr when not armed. Guests arm a handful of timer ids each, so a
+  /// linear scan wins.
+  EventQueue::Node* take_timer(NodeId node, std::uint64_t id);
   void transmit(NodeId src, NodeId dst, MessageBuf message);
   void dispatch(const Event& ev);
   void deliver_packet(const Packet& p);
@@ -248,7 +274,10 @@ class Emulator {
   std::uint64_t budget_used_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_msg_id_ = 1;
-  EventQueue queue_;  ///< calendar queue, pops in exact (at, seq) order
+  EventQueue queue_;  ///< pops in exact (at, seq) order
+  /// Per node: every armed guest timer and its queue entry. Rebuilt from the
+  /// queue on load(); not serialized itself.
+  std::vector<std::vector<TimerSlot>> timers_;
   std::vector<LinkState> links_;  ///< nodes*nodes, row-major by src
   std::vector<LinkSpec> resolved_links_;  ///< nodes*nodes, see link_spec()
   FlatTable<Reassembly> reassembly_;  ///< key: msg_id

@@ -16,7 +16,7 @@ namespace turret::netem {
 enum class EventKind : std::uint8_t {
   kPacketDeliver = 0,  ///< packet arrives at dst's net device
   kProxyRelease = 1,   ///< a message the malicious proxy delayed is released
-  kTimer = 2,          ///< guest timer fires (node, a=timer id, b=generation)
+  kTimer = 2,          ///< guest timer fires (node, a=timer id)
   kHandlerDone = 3,    ///< guest finishes processing its current input
   kControl = 4,        ///< controller bookkeeping (a=token)
   kReassemblyExpire = 5,  ///< reap an incomplete reassembly (a=msg_id);

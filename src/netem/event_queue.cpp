@@ -1,157 +1,90 @@
 #include "netem/event_queue.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/check.h"
 
 namespace turret::netem {
 
-EventQueue::EventQueue() {
-  buckets_.assign(kMinBuckets, nullptr);
-  mask_ = buckets_.size() - 1;
-}
-
 EventQueue::~EventQueue() { clear(); }
 
 void EventQueue::clear() {
-  for (Node*& head : buckets_) {
-    while (head != nullptr) {
-      Node* n = head;
-      head = n->next;
-      pool_.release(n);
-    }
+  for (const Key& k : heap_) pool_.release(k.node);
+  heap_.clear();
+}
+
+void EventQueue::sift_up(std::size_t i, Key k) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!less(k, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
   }
-  size_ = 0;
-  cur_slot_ = 0;
-  cached_min_ = nullptr;
+  place(i, k);
 }
 
-void EventQueue::file(Node* n) {
-  Node** link = &buckets_[slot(n->ev.at) & mask_];
-  while (*link != nullptr && less((*link)->ev, n->ev)) link = &(*link)->next;
-  n->next = *link;
-  *link = n;
+void EventQueue::sift_down(std::size_t i, Key k) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && less(heap_[child + 1], heap_[child])) ++child;
+    if (!less(heap_[child], k)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, k);
 }
 
-void EventQueue::push(Event ev) {
+void EventQueue::resift(std::size_t i, Key k) {
+  if (i > 0 && less(k, heap_[(i - 1) / 2])) {
+    sift_up(i, k);
+  } else {
+    sift_down(i, k);
+  }
+}
+
+void EventQueue::remove_at(std::size_t i) {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (i < heap_.size()) resift(i, last);  // else the last key was removed
+}
+
+EventQueue::Node* EventQueue::push(Event ev) {
   Node* n = pool_.acquire();
   n->ev = std::move(ev);
-  const std::uint64_t s = slot(n->ev.at);
-  if (size_ == 0 || s < cur_slot_) cur_slot_ = s;
-  if (cached_min_ != nullptr && less(n->ev, cached_min_->ev)) cached_min_ = n;
-  file(n);
-  ++size_;
-  maybe_resize();
-}
-
-const EventQueue::Node* EventQueue::find_min() const {
-  if (cached_min_ != nullptr) return cached_min_;
-  if (size_ == 0) return nullptr;
-  // Scan one full calendar year from the day cursor. Equal timestamps share
-  // a bucket, so the first head matching the current day is the global min.
-  for (std::size_t i = 0; i < buckets_.size(); ++i, ++cur_slot_) {
-    Node* h = buckets_[cur_slot_ & mask_];
-    if (h != nullptr && slot(h->ev.at) == cur_slot_) {
-      cached_min_ = h;
-      return h;
-    }
-  }
-  // Sparse tail: every pending event is more than a year out. Direct min
-  // over bucket heads (each head is its bucket's minimum).
-  Node* best = nullptr;
-  for (Node* h : buckets_) {
-    if (h != nullptr && (best == nullptr || less(h->ev, best->ev))) best = h;
-  }
-  cur_slot_ = slot(best->ev.at);
-  cached_min_ = best;
-  return best;
-}
-
-const Event* EventQueue::peek() const {
-  const Node* n = find_min();
-  return n == nullptr ? nullptr : &n->ev;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Key{n->ev.at, n->ev.seq, n});
+  return n;
 }
 
 Event EventQueue::pop() {
-  const Node* cn = find_min();
-  TURRET_CHECK_MSG(cn != nullptr, "pop from an empty event queue");
-  Node* n = const_cast<Node*>(cn);
-  Node*& head = buckets_[slot(n->ev.at) & mask_];
-  TURRET_CHECK(head == n);  // the global min is the head of its bucket
-  head = n->next;
-  --size_;
-  cached_min_ = nullptr;
+  TURRET_CHECK_MSG(!heap_.empty(), "pop from an empty event queue");
+  Node* n = heap_.front().node;
+  remove_at(0);
   Event ev = std::move(n->ev);
   pool_.release(n);
-  maybe_resize();
   return ev;
 }
 
+void EventQueue::erase(Node* n) {
+  remove_at(n->pos);
+  pool_.release(n);
+}
+
+void EventQueue::retime(Node* n, Time at, std::uint64_t seq) {
+  n->ev.at = at;
+  n->ev.seq = seq;
+  resift(n->pos, Key{at, seq, n});
+}
+
 std::vector<const Event*> EventQueue::sorted() const {
+  std::vector<Key> keys = heap_;
+  std::sort(keys.begin(), keys.end(), less);
   std::vector<const Event*> out;
-  out.reserve(size_);
-  for (const Node* h : buckets_) {
-    for (const Node* n = h; n != nullptr; n = n->next) out.push_back(&n->ev);
-  }
-  std::sort(out.begin(), out.end(), [](const Event* x, const Event* y) {
-    return less(*x, *y);
-  });
+  out.reserve(keys.size());
+  for (const Key& k : keys) out.push_back(&k.node->ev);
   return out;
-}
-
-void EventQueue::maybe_resize() {
-  // Grow straight to the target geometry (one resize per growth episode, not
-  // a doubling cascade). Shrink only from genuinely large arrays at 1/64
-  // occupancy: a modest bucket array costs nothing to keep, and workloads
-  // that oscillate between a full wave and a drained queue would otherwise
-  // pay a full resize-sort on every cycle — first to shrink at the drain,
-  // then to grow the next wave. With sticky geometry the steady state does
-  // zero resizes. Geometry never affects pop order, only bucket spread, so
-  // the hysteresis is purely a performance choice.
-  constexpr std::size_t kShrinkFloor = 4096;
-  if (size_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-    resize(std::min(std::bit_ceil(size_), kMaxBuckets));
-  } else if (buckets_.size() > kShrinkFloor && size_ < buckets_.size() / 64) {
-    resize(std::max(std::bit_ceil(size_ + 1), kMinBuckets));
-  }
-}
-
-void EventQueue::resize(std::size_t nbuckets) {
-  // Unlink every node, then recompute the bucket width from the actual event
-  // spacing: twice the mean gap across the interquartile range, rounded to a
-  // power of two so the slot computation stays a shift. All-integer and a
-  // pure function of the pending (at, seq) set — geometry never depends on
-  // insertion history, only on content.
-  std::vector<Node*> nodes;
-  nodes.reserve(size_);
-  for (Node*& head : buckets_) {
-    while (head != nullptr) {
-      Node* n = head;
-      head = n->next;
-      nodes.push_back(n);
-    }
-  }
-  std::sort(nodes.begin(), nodes.end(),
-            [](const Node* x, const Node* y) { return less(x->ev, y->ev); });
-
-  if (nodes.size() >= 2) {
-    const std::size_t lo = nodes.size() / 4;
-    const std::size_t hi = (nodes.size() * 3) / 4;
-    const std::uint64_t span = static_cast<std::uint64_t>(
-        nodes[hi]->ev.at - nodes[lo]->ev.at);
-    const std::uint64_t gaps = std::max<std::uint64_t>(hi - lo, 1);
-    const std::uint64_t width = std::max<std::uint64_t>(2 * (span / gaps), 1);
-    shift_ = std::min(static_cast<int>(std::bit_width(width)) - 1, kMaxShift);
-  }
-
-  buckets_.assign(nbuckets, nullptr);
-  mask_ = buckets_.size() - 1;
-  // Refile in reverse canonical order: every insert lands at its bucket
-  // head, making the rebuild O(n) after the sort.
-  for (std::size_t i = nodes.size(); i-- > 0;) file(nodes[i]);
-  cur_slot_ = nodes.empty() ? 0 : slot(nodes.front()->ev.at);
-  cached_min_ = nodes.empty() ? nullptr : nodes.front();
 }
 
 }  // namespace turret::netem

@@ -1,23 +1,21 @@
-// Calendar-queue event dispatch for the emulator.
+// The emulator's event queue: a binary min-heap of compact keys.
 //
-// The emulator's former binary heap paid O(log n) Event moves per push/pop
-// and re-heapified packet-carrying events through the hot path. A calendar
-// queue (Brown 1988, the classic discrete-event simulation structure) files
-// each event into a bucket by its timestamp — bucket = (at >> shift) mod
-// nbuckets — and pops by scanning the current "day" forward. With bucket
-// width tracking the mean event spacing, push and pop are O(1) amortized.
+// Events live in SlabPool nodes that never move; the heap array holds only
+// 24-byte `(at, seq, node*)` keys, so a sift moves keys, never Events with
+// their packets. Each node records its heap index, which makes a node an
+// O(log n) handle: erase() and retime() touch only the path through it. The
+// emulator uses that to keep exactly one live entry per guest timer — a
+// re-arm retimes the pending event in place instead of leaving a stale one
+// behind.
 //
-// Determinism contract: pop order is the exact total (at, seq) order the
-// heap produced — bucket lists are kept sorted by (at, seq); equal
-// timestamps always land in the same bucket, so the FIFO tie-break is a
-// within-list property and geometry (bucket count, width, cursor) can never
-// reorder ties. Geometry is therefore *not* part of the emulator's
-// serialized state: save() writes events in canonical (at, seq) order and
-// load() refiles them, so two emulators with different resize histories
-// still produce byte-identical snapshots and pop sequences.
+// Determinism contract: pop order is the exact total (at, seq) order — seq
+// is unique per event, so the order is a function of the pending keys alone,
+// never of push or erase history. save() writes sorted() canonical (at, seq)
+// order and load() re-pushes, so two queues with the same pending set produce
+// byte-identical snapshots and pop sequences.
 //
-// Nodes come from a SlabPool: steady-state dispatch (stable queue depth)
-// performs no heap allocation.
+// Steady-state dispatch (stable queue depth) performs no heap allocation:
+// nodes recycle through the pool and the key array keeps its capacity.
 #pragma once
 
 #include <cstdint>
@@ -30,28 +28,34 @@ namespace turret::netem {
 
 class EventQueue {
  public:
-  EventQueue();
+  /// A pending event. The pointer returned by push() stays valid until the
+  /// event is popped, erased or cleared.
+  struct Node {
+    Event ev;
+    std::size_t pos = 0;  ///< index of this node's key in heap_
+  };
+
+  EventQueue() = default;
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  void push(Event ev);
+  Node* push(Event ev);
 
   /// Remove and return the (at, seq)-minimal event. Precondition: !empty().
   Event pop();
 
-  /// The (at, seq)-minimal event, or nullptr when empty. (Advances the
-  /// internal day cursor; logically const.)
-  const Event* peek() const;
+  /// Remove a pending event without firing it.
+  void erase(Node* n);
+
+  /// Move a pending event to a new (at, seq) key.
+  void retime(Node* n, Time at, std::uint64_t seq);
 
   /// Time of the minimal event, or -1 when empty.
-  Time peek_time() const {
-    const Event* e = peek();
-    return e == nullptr ? -1 : e->at;
-  }
+  Time peek_time() const { return heap_.empty() ? -1 : heap_.front().at; }
 
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }
 
   void clear();
 
@@ -60,39 +64,31 @@ class EventQueue {
   std::vector<const Event*> sorted() const;
 
  private:
-  struct Node {
-    Event ev;
-    Node* next = nullptr;
+  struct Key {
+    Time at;
+    std::uint64_t seq;
+    Node* node;
   };
 
-  static constexpr std::size_t kMinBuckets = 16;
-  static constexpr std::size_t kMaxBuckets = 1 << 16;
-  static constexpr int kInitShift = 20;  ///< ~1 ms buckets until first resize
-  static constexpr int kMaxShift = 40;
-
-  static bool less(const Event& x, const Event& y) {
+  static bool less(const Key& x, const Key& y) {
     if (x.at != y.at) return x.at < y.at;
     return x.seq < y.seq;
   }
 
-  std::uint64_t slot(Time at) const {
-    return static_cast<std::uint64_t>(at) >> shift_;
+  /// Place `k` at hole `i` after moving it toward the root / the leaves.
+  void sift_up(std::size_t i, Key k);
+  void sift_down(std::size_t i, Key k);
+  /// Place `k` at hole `i`, sifting whichever way restores heap order.
+  void resift(std::size_t i, Key k);
+  /// Remove the key at `i`, filling the hole with the last key.
+  void remove_at(std::size_t i);
+  void place(std::size_t i, const Key& k) {
+    heap_[i] = k;
+    k.node->pos = i;
   }
 
-  const Node* find_min() const;
-  void file(Node* n);          ///< sorted insert into n's bucket list
-  void resize(std::size_t nbuckets);
-  void maybe_resize();
-
   SlabPool<Node> pool_;
-  std::vector<Node*> buckets_;  ///< power-of-two count; sorted (at, seq) lists
-  std::size_t mask_ = 0;        ///< buckets_.size() - 1
-  int shift_ = kInitShift;      ///< bucket width = 1 << shift_ nanoseconds
-  std::size_t size_ = 0;
-  /// Day cursor: invariant `cur_slot_ <= slot(min pending at)`. Advanced by
-  /// the pop scan, pulled back by pushes below it.
-  mutable std::uint64_t cur_slot_ = 0;
-  mutable Node* cached_min_ = nullptr;  ///< null = recompute on next peek/pop
+  std::vector<Key> heap_;
 };
 
 }  // namespace turret::netem

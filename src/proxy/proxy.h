@@ -69,6 +69,9 @@ class MaliciousProxy final : public netem::IngressInterceptor {
   void enable_audit(std::uint32_t capacity);
   const AuditLog* audit() const { return audit_.get(); }
 
+  /// Benign senders' traffic passes through untouched, so the emulator need
+  /// not call on_send() for it.
+  bool intercepts(NodeId src) const override { return is_malicious(src); }
   std::vector<Delivery> on_send(Time now, NodeId src, NodeId dst,
                                 const MessageBuf& message) override;
 

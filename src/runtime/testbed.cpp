@@ -28,14 +28,15 @@ class Testbed::Ctx final : public vm::GuestContext {
   }
 
   void set_timer(std::uint64_t timer_id, Duration delay) override {
-    auto& gen = tb_.timer_gen_[{m_.id(), timer_id}];
-    ++gen;  // invalidates any previously armed instance
-    tb_.emu_.schedule(delay, netem::EventKind::kTimer, m_.id(), timer_id, gen);
+    // A timer in the past is the guest's bug, not the platform's.
+    if (delay < 0)
+      throw vm::GuestFault("set_timer with negative delay " +
+                           std::to_string(delay) + " ns");
+    tb_.emu_.set_timer(m_.id(), timer_id, delay);
   }
 
   void cancel_timer(std::uint64_t timer_id) override {
-    auto it = tb_.timer_gen_.find({m_.id(), timer_id});
-    if (it != tb_.timer_gen_.end()) ++it->second;
+    tb_.emu_.cancel_timer(m_.id(), timer_id);
   }
 
   void consume_cpu(Duration d) override {
@@ -78,8 +79,8 @@ Testbed::Testbed(TestbedConfig cfg, GuestFactory factory)
 
 Testbed::~Testbed() = default;
 
-void Testbed::guard_guest_call(vm::VirtualMachine& m,
-                               const std::function<void()>& call) {
+template <typename Call>
+void Testbed::guard_guest_call(vm::VirtualMachine& m, Call&& call) {
   // The crash-capture boundary: what would be a segfault or failed assert in
   // a native binary surfaces here as an exception from guest code. Platform
   // bugs (std::logic_error from TURRET_CHECK) are *not* absorbed.
@@ -138,8 +139,6 @@ void Testbed::on_message(NodeId dst, NodeId src, MessageBuf message) {
 void Testbed::on_event(const netem::Event& ev) {
   switch (ev.kind) {
     case netem::EventKind::kTimer: {
-      const auto it = timer_gen_.find({ev.node, ev.a});
-      if (it == timer_gen_.end() || it->second != ev.b) return;  // cancelled
       vm::GuestInput in;
       in.kind = vm::GuestInput::Kind::kTimer;
       in.timer_id = ev.a;
@@ -278,16 +277,6 @@ Bytes Testbed::save_snapshot() {
   }
   {
     serial::Writer section;
-    section.u32(static_cast<std::uint32_t>(timer_gen_.size()));
-    for (const auto& [key, gen] : timer_gen_) {
-      section.u32(key.first);
-      section.u64(key.second);
-      section.u64(gen);
-    }
-    w.bytes(section.data());
-  }
-  {
-    serial::Writer section;
     metrics_.save(section);
     w.bytes(section.data());
   }
@@ -371,18 +360,6 @@ DecodedSnapshot Testbed::decode_snapshot(BytesView snapshot,
   d.emu_section = r.bytes();
   {
     const Bytes section = r.bytes();
-    serial::Reader tr(section);
-    const std::uint32_t nt = tr.u32();
-    for (std::uint32_t i = 0; i < nt; ++i) {
-      const NodeId node = tr.u32();
-      const std::uint64_t timer_id = tr.u64();
-      const std::uint64_t gen = tr.u64();
-      d.timers[{node, timer_id}] = gen;
-    }
-    TURRET_CHECK_MSG(tr.exhausted(), "trailing bytes in timer section");
-  }
-  {
-    const Bytes section = r.bytes();
     serial::Reader mr(section);
     d.metrics.load(mr);
     TURRET_CHECK_MSG(mr.exhausted(), "trailing bytes in metrics section");
@@ -415,7 +392,6 @@ void Testbed::load_snapshot(const DecodedSnapshot& snapshot) {
     emu_.load(r);
     TURRET_CHECK_MSG(r.exhausted(), "trailing bytes in emulator section");
   }
-  timer_gen_ = snapshot.timers;
   metrics_ = snapshot.metrics;
   // Adopt the decoded frames copy-on-write. Their refs are already interned,
   // so the next save only interns pages this branch actually dirtied.

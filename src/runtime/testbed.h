@@ -15,7 +15,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -74,7 +73,7 @@ struct SnapshotSaveStats {
 
 /// A snapshot blob parsed once into its sections. Branching executes the same
 /// injection-point snapshot many times; decoding up front means each branch
-/// pays a copy of plain data structures (timers, metrics) and a per-section
+/// pays a copy of plain data structures (metrics) and a per-section
 /// parse of VM/emulator state instead of re-scanning the whole flat blob.
 /// Immutable after decode_snapshot(), so branches on worker threads may load
 /// from one shared DecodedSnapshot concurrently. The VM images are exposed
@@ -86,7 +85,6 @@ struct DecodedSnapshot {
   /// Per-VM shared immutable frames (adopted by load_snapshot).
   std::vector<std::shared_ptr<const vm::PageFrames>> frames;
   Bytes emu_section;               ///< netem::Emulator::save payload
-  std::map<std::pair<NodeId, std::uint64_t>, std::uint64_t> timers;
   MetricsCollector metrics;
 };
 
@@ -120,7 +118,8 @@ class Testbed final : public netem::MessageSink {
 
   // --- Execution branching -------------------------------------------------
 
-  /// Serialize the entire system state (network + all VMs + timers + metrics).
+  /// Serialize the entire system state (network with its armed guest timers,
+  /// all VMs, metrics).
   /// Only pages dirtied since the previous save are rehashed and interned
   /// (delta snapshots).
   Bytes save_snapshot();
@@ -170,8 +169,10 @@ class Testbed final : public netem::MessageSink {
 
   void enqueue_input(NodeId node, vm::GuestInput input);
   void run_handler(NodeId node);
-  void guard_guest_call(vm::VirtualMachine& m,
-                        const std::function<void()>& call);
+  /// Runs `call` (guest code) behind the crash-capture boundary. A template,
+  /// not a std::function, so the per-handler lambda is never heap-allocated.
+  template <typename Call>
+  void guard_guest_call(vm::VirtualMachine& m, Call&& call);
 
   vm::MemoryProfile effective_profile() const;
   /// Materialize the per-VM memory mirrors on first use, then fold each VM's
@@ -194,9 +195,6 @@ class Testbed final : public netem::MessageSink {
   std::shared_ptr<vm::PageStore> store_;
   SnapshotSaveStats save_stats_;
   std::shared_ptr<const std::vector<vm::PageHandle>> last_save_pages_;
-  /// One-shot timer generations: key (node, timer id) → latest generation.
-  /// A kTimer event fires only if its generation is still current.
-  std::map<std::pair<NodeId, std::uint64_t>, std::uint64_t> timer_gen_;
   bool started_ = false;
 };
 

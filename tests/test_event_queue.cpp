@@ -1,8 +1,8 @@
-// Calendar-queue order properties: the EventQueue must pop in the exact
-// total (at, seq) order the old binary heap produced — this is what keeps
-// traces, provenance, and golden artifacts bit-for-bit unchanged — across
-// random schedules, heavy timestamp ties, interleaved push/pop (which drags
-// the day cursor back and forth), and save/load round-trips.
+// Event queue order properties: the EventQueue must pop in the exact total
+// (at, seq) order of a reference binary heap — this is what keeps traces,
+// provenance, and golden artifacts bit-for-bit unchanged — across random
+// schedules with interleaved pops, erases and retimes (the emulator's guest
+// timer operations), heavy timestamp ties, and save/load round-trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,8 +29,7 @@ Event make_event(Time at, std::uint64_t seq) {
   return e;
 }
 
-/// The pre-calendar reference: a min-heap on (at, seq), exactly what the
-/// emulator used before.
+/// The reference: a min-heap on (at, seq) with removal by seq.
 struct ReferenceHeap {
   std::vector<Event> heap;
   void push(Event e) {
@@ -42,6 +41,13 @@ struct ReferenceHeap {
     Event e = std::move(heap.back());
     heap.pop_back();
     return e;
+  }
+  void erase(std::uint64_t seq) {
+    const auto it = std::find_if(heap.begin(), heap.end(),
+                                 [seq](const Event& e) { return e.seq == seq; });
+    ASSERT_NE(it, heap.end());
+    heap.erase(it);
+    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
   }
   bool empty() const { return heap.empty(); }
 };
@@ -65,21 +71,50 @@ TEST(EventQueue, PopsInTimeThenSeqOrder) {
 }
 
 TEST(EventQueue, MatchesReferenceHeapOnRandomSchedules) {
-  // Several seeds, each mixing widely spread timestamps (forces resizes and
-  // day-cursor scans) with dense ties (exercises the within-bucket FIFO).
+  // Several seeds, each mixing widely spread timestamps with dense ties, and
+  // erasing or retiming random pending events between pops. A retime takes a
+  // fresh seq, exactly as the emulator's timer re-arm does.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
     EventQueue q;
     ReferenceHeap ref;
+    std::vector<std::pair<std::uint64_t, EventQueue::Node*>> live;  // by seq
+    const auto take = [&live](std::size_t i) {
+      const auto entry = live[i];
+      live[i] = live.back();
+      live.pop_back();
+      return entry;
+    };
+    const auto index_of = [&live](std::uint64_t seq) {
+      std::size_t i = 0;
+      while (i < live.size() && live[i].first != seq) ++i;
+      return i;
+    };
     std::uint64_t seq = 0;
     Time now = 0;
-    for (int round = 0; round < 2000; ++round) {
+    const auto random_time = [&] {
       const std::uint64_t spread =
           rng.next_bool(0.3) ? 50 : 50'000'000;  // ties vs ~50 ms spread
-      const Time at = now + static_cast<Time>(rng.next_below(spread) + 1);
-      Event e = make_event(at, seq++);
-      q.push(e);
+      return now + static_cast<Time>(rng.next_below(spread) + 1);
+    };
+    for (int round = 0; round < 2000; ++round) {
+      const Event e = make_event(random_time(), seq++);
       ref.push(e);
+      live.emplace_back(e.seq, q.push(e));
+      if (rng.next_bool(0.2)) {
+        const auto [gone, node] = take(rng.next_below(live.size()));
+        q.erase(node);
+        ref.erase(gone);
+      }
+      if (!live.empty() && rng.next_bool(0.2)) {
+        const auto [old_seq, node] = take(rng.next_below(live.size()));
+        const Time at = random_time();
+        q.retime(node, at, seq);
+        ref.erase(old_seq);
+        ref.push(make_event(at, seq));
+        live.emplace_back(seq++, node);
+      }
+      ASSERT_EQ(q.size(), ref.heap.size()) << "seed " << seed;
       // Interleaved pops advance the virtual clock like the emulator does.
       while (!q.empty() && rng.next_bool(0.4)) {
         ASSERT_FALSE(ref.empty());
@@ -89,6 +124,9 @@ TEST(EventQueue, MatchesReferenceHeapOnRandomSchedules) {
         ASSERT_EQ(got.seq, want.seq) << "seed " << seed;
         ASSERT_GE(got.at, now);
         now = got.at;
+        const std::size_t i = index_of(got.seq);
+        ASSERT_LT(i, live.size()) << "popped a non-pending seq " << got.seq;
+        take(i);
       }
     }
     while (!q.empty()) {
@@ -127,13 +165,13 @@ TEST(EventQueue, SortedIsCanonicalOrder) {
 TEST(EventQueue, SaveLoadRoundTripPreservesPopOrder) {
   // Serialize via the canonical sorted() view (as Emulator::save does),
   // reload into a fresh queue with different push history, and require the
-  // identical pop sequence — geometry must not be observable.
+  // identical pop sequence — heap layout must not be observable.
   Rng rng(1234);
   EventQueue q;
   for (std::uint64_t s = 0; s < 400; ++s) {
     q.push(make_event(static_cast<Time>(rng.next_below(100'000'000)), s));
   }
-  for (int i = 0; i < 100; ++i) q.pop();  // advance the day cursor
+  for (int i = 0; i < 100; ++i) q.pop();
 
   serial::Writer w;
   const auto view = q.sorted();

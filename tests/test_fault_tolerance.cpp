@@ -83,6 +83,23 @@ struct BombServer final : vm::GuestNode {
   std::string_view kind() const override { return "bomb-server"; }
 };
 
+/// Server that arms a timer `count` ms out for every Work: a negative count
+/// makes it ask for a timer in the past.
+struct TimerServer final : vm::GuestNode {
+  void start(vm::GuestContext&) override {}
+  void on_message(vm::GuestContext& ctx, NodeId src, BytesView m) override {
+    wire::MessageReader r(m);
+    if (r.tag() != 1) return;
+    const std::uint64_t seq = r.u64();
+    ctx.set_timer(3, r.i32() * kMillisecond);
+    ctx.send(src, wire::MessageWriter(2).u64(seq).take());
+  }
+  void on_timer(vm::GuestContext&, std::uint64_t) override {}
+  void save(serial::Writer&) const override {}
+  void load(serial::Reader&) override {}
+  std::string_view kind() const override { return "timer-server"; }
+};
+
 struct ToyClient final : vm::GuestNode {
   std::uint64_t seq = 0;
   void start(vm::GuestContext& ctx) override {
@@ -419,6 +436,26 @@ TEST(FaultTolerance, GuestCrashIsCountedPerBranchAndOnTheTestbed) {
     EXPECT_EQ(a.action.field_name, "count");
   }
   EXPECT_TRUE(found_crash);
+}
+
+TEST(FaultTolerance, NegativeTimerDelayIsAGuestCrashNotAQuarantine) {
+  Scenario sc = toy_scenario();
+  sc.factory = [](NodeId id) -> std::unique_ptr<vm::GuestNode> {
+    if (id == 0) return std::make_unique<ToyClient>();
+    return std::make_unique<TimerServer>();
+  };
+  set_default_jobs(1);
+  BranchExecutor exec(sc);
+  const auto& points = exec.discover();
+
+  // -1000 turns Work.count into a timer 999 ms in the past.
+  const proxy::MaliciousAction lie = lie_on_count(proxy::LieStrategy::kSub, 1000);
+  const auto r = exec.try_run_branch(points[0], &lie, 1);
+  set_default_jobs(0);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_EQ(r.outcome->new_crashes, 1u);
+  EXPECT_TRUE(exec.failed().empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -140,9 +140,9 @@ TEST(Emulator, TimerEventsReachSinkInOrder) {
   Recorder rec;
   rec.emu = &emu;
   emu.set_sink(&rec);
-  emu.schedule(5 * kMillisecond, EventKind::kTimer, 0, 2, 0);
-  emu.schedule(kMillisecond, EventKind::kTimer, 0, 1, 0);
-  emu.schedule(5 * kMillisecond, EventKind::kTimer, 0, 3, 0);  // same time: FIFO
+  emu.set_timer(0, 2, 5 * kMillisecond);
+  emu.set_timer(0, 1, kMillisecond);
+  emu.set_timer(0, 3, 5 * kMillisecond);  // same time: FIFO
   emu.run_for(kSecond);
   ASSERT_EQ(rec.events.size(), 3u);
   EXPECT_EQ(rec.events[0].a, 1u);
@@ -289,6 +289,32 @@ TEST(Interceptor, SeesOnlyConfiguredTraffic) {
   emu.run_for(kSecond);
   EXPECT_EQ(tap.calls, 1);
   EXPECT_EQ(rec.deliveries.size(), 2u);
+}
+
+TEST(Interceptor, SendersItDoesNotInterceptNeverReachOnSend) {
+  // Intercepts node 0 only: node 1's sends take the direct path.
+  struct OnlyNodeZero : IngressInterceptor {
+    std::vector<NodeId> seen;
+    bool intercepts(NodeId src) const override { return src == 0; }
+    std::vector<Delivery> on_send(Time, NodeId src, NodeId dst,
+                                  const MessageBuf& message) override {
+      seen.push_back(src);
+      return {{dst, message, 0}};
+    }
+  };
+  Emulator emu(lan(3));
+  Recorder rec;
+  rec.emu = &emu;
+  emu.set_sink(&rec);
+  OnlyNodeZero tap;
+  emu.set_interceptor(&tap);
+  emu.send_message(0, 2, to_bytes("a"));
+  emu.send_message(1, 2, to_bytes("b"));
+  emu.send_message(1, 0, to_bytes("c"));
+  emu.run_for(kSecond);
+  EXPECT_EQ(tap.seen, std::vector<NodeId>{0});
+  ASSERT_EQ(rec.deliveries.size(), 3u);
+  EXPECT_EQ(emu.stats().messages_sent, 3u);
 }
 
 TEST(Interceptor, DelayedReleaseBypassesReinterception) {

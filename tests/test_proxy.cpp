@@ -2,6 +2,7 @@
 // delivery/lying action's effect on the wire.
 #include <gtest/gtest.h>
 
+#include "common/trace.h"
 #include "proxy/enumerate.h"
 #include "proxy/proxy.h"
 
@@ -154,6 +155,50 @@ TEST(Proxy, PassesBenignSendersUntouched) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].message.to_bytes(), sample_data());
   EXPECT_EQ(proxy.stats().observed, 0u);
+}
+
+TEST(Proxy, InterceptsExactlyTheMaliciousSenders) {
+  const MaliciousProxy proxy(test_schema(), {0, 2}, 4);
+  EXPECT_TRUE(proxy.intercepts(0));
+  EXPECT_FALSE(proxy.intercepts(1));
+  EXPECT_TRUE(proxy.intercepts(2));
+  EXPECT_FALSE(proxy.intercepts(3));
+}
+
+TEST(Proxy, HonestSendIsAnUntouchedSharedBufferPassThrough) {
+  // The emulator skips on_send for senders intercepts() rejects, which is
+  // sound only if on_send would pass their messages through with no trace:
+  // one undelayed delivery sharing the sender's buffer, no counters, no
+  // audit record, no observer call.
+  trace::ScopedTrace tracing;
+  MaliciousProxy proxy(test_schema(), {0}, 4);
+  proxy.enable_audit(16);
+  bool observer_called = false;
+  proxy.set_observer([&](NodeId, NodeId, wire::TypeTag) {
+    observer_called = true;
+    return true;
+  });
+  auto a = base_action(ActionKind::kDrop);
+  a.drop_probability = 1.0;
+  proxy.arm(a);
+  const std::uint64_t observed_before = trace::counters().snapshot().proxy_observed;
+
+  ASSERT_FALSE(proxy.intercepts(2));
+  const MessageBuf message(sample_data());
+  const auto out = proxy.on_send(kSecond, 2, 1, message);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].dst, 1u);
+  EXPECT_EQ(out[0].delay, 0);
+  EXPECT_FALSE(out[0].reintercept);
+  EXPECT_TRUE(out[0].message.same_buffer(message));
+  EXPECT_EQ(out[0].message.offset(), message.offset());
+  EXPECT_EQ(out[0].message.size(), message.size());
+  EXPECT_FALSE(observer_called);
+  EXPECT_EQ(proxy.stats().observed, 0u);
+  EXPECT_EQ(proxy.stats().injected, 0u);
+  EXPECT_EQ(proxy.stats().undecodable, 0u);
+  EXPECT_TRUE(proxy.audit()->records().empty());
+  EXPECT_EQ(trace::counters().snapshot().proxy_observed, observed_before);
 }
 
 TEST(Proxy, DropDiscardsEverything) {

@@ -2,6 +2,8 @@
 // integration, crash capture, and whole-testbed snapshot behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "runtime/metrics.h"
 #include "runtime/testbed.h"
 
@@ -190,6 +192,120 @@ TEST(Testbed, RearmReplacesPreviousTimer) {
   tb.start();
   tb.run_for(200 * kMillisecond);
   EXPECT_EQ(dynamic_cast<Rearm&>(tb.machine(0).guest()).timer_fires, 1);
+}
+
+// Arms timer 1 a thousand times in start(), each arm replacing the last and
+// the final one due at 1 s, plus timer 2 once; records when timer 1 fires.
+struct ManyRearms : vm::GuestNode {
+  bool cancel = false;
+  int fires = 0;
+  Time fired_at = -1;
+
+  void start(vm::GuestContext& ctx) override {
+    for (int i = 1; i <= 1000; ++i) ctx.set_timer(1, i * kMillisecond);
+    ctx.set_timer(2, 2 * kSecond);
+    if (cancel) ctx.cancel_timer(1);
+  }
+  void on_message(vm::GuestContext&, NodeId, BytesView) override {}
+  void on_timer(vm::GuestContext& ctx, std::uint64_t id) override {
+    if (id != 1) return;
+    ++fires;
+    fired_at = ctx.now();
+  }
+  void save(serial::Writer& w) const override {
+    w.boolean(cancel);
+    w.i32(fires);
+    w.i64(fired_at);
+  }
+  void load(serial::Reader& r) override {
+    cancel = r.boolean();
+    fires = r.i32();
+    fired_at = r.i64();
+  }
+  std::string_view kind() const override { return "many-rearms"; }
+};
+
+TestbedConfig one_node() {
+  TestbedConfig cfg;
+  cfg.net.nodes = 1;
+  return cfg;
+}
+
+/// True when `t` is the 1 s deadline plus at most the handler's CPU cost.
+bool fired_at_deadline(Time t) { return t >= kSecond && t < kSecond + kMillisecond; }
+
+TEST(Testbed, RearmingATimerKeepsOnePendingEvent) {
+  Testbed tb(one_node(), [](NodeId) { return std::make_unique<ManyRearms>(); });
+  tb.start();
+  EXPECT_EQ(tb.emulator().pending_events(), 2u) << "one event per armed timer";
+  tb.run_for(3 * kSecond);
+  const auto& g = dynamic_cast<ManyRearms&>(tb.machine(0).guest());
+  EXPECT_EQ(g.fires, 1);
+  EXPECT_TRUE(fired_at_deadline(g.fired_at)) << g.fired_at;
+  EXPECT_EQ(tb.emulator().stats().events_processed, 4u)
+      << "two timers, each fire plus its handler completion";
+}
+
+TEST(Testbed, CancelTimerRemovesItsPendingEvent) {
+  Testbed tb(one_node(), [](NodeId) {
+    auto g = std::make_unique<ManyRearms>();
+    g->cancel = true;
+    return g;
+  });
+  tb.start();
+  EXPECT_EQ(tb.emulator().pending_events(), 1u) << "only timer 2 is left";
+  tb.run_for(3 * kSecond);
+  EXPECT_EQ(dynamic_cast<ManyRearms&>(tb.machine(0).guest()).fires, 0);
+}
+
+TEST(Testbed, SnapshotHoldsOneTimerEventPerArmedTimer) {
+  const TestbedConfig cfg = two_nodes();
+  Testbed a(cfg, [](NodeId) { return std::make_unique<ManyRearms>(); });
+  a.start();
+  a.run_for(10 * kMillisecond);
+  const Bytes snap = a.save_snapshot();
+
+  // The emulator section: clock, frozen flag, seq and msg-id counters, then
+  // the pending events in (at, seq) order.
+  const DecodedSnapshot d = Testbed::decode_snapshot(snap, cfg.snapshot.store.get());
+  serial::Reader r(d.emu_section);
+  r.i64();
+  r.boolean();
+  r.u64();
+  r.u64();
+  std::vector<std::pair<NodeId, std::uint64_t>> timers;
+  const std::uint32_t n = r.u32();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const netem::Event e = netem::Event::load(r);
+    if (e.kind == netem::EventKind::kTimer) timers.emplace_back(e.node, e.a);
+  }
+  std::sort(timers.begin(), timers.end());
+  const std::vector<std::pair<NodeId, std::uint64_t>> want = {
+      {0, 1}, {0, 2}, {1, 1}, {1, 2}};
+  EXPECT_EQ(timers, want);
+
+  Testbed b(cfg, [](NodeId) { return std::make_unique<ManyRearms>(); });
+  b.load_snapshot(snap);
+  EXPECT_EQ(b.emulator().pending_events(), 4u);
+  b.run_until(3 * kSecond);
+  for (NodeId id = 0; id < 2; ++id) {
+    const auto& g = dynamic_cast<ManyRearms&>(b.machine(id).guest());
+    EXPECT_EQ(g.fires, 1) << "node " << id;
+    EXPECT_TRUE(fired_at_deadline(g.fired_at)) << g.fired_at;
+  }
+}
+
+TEST(Testbed, NegativeTimerDelayIsAGuestCrash) {
+  struct Backwards : Worker {
+    void start(vm::GuestContext& ctx) override { ctx.set_timer(1, -1); }
+  };
+  Testbed tb(one_node(), [](NodeId) { return std::make_unique<Backwards>(); });
+  tb.start();  // absorbed at the crash boundary, never a platform bug
+  ASSERT_EQ(tb.crashed_nodes(), std::vector<NodeId>{0});
+  EXPECT_NE(tb.machine(0).crash_reason().find("negative delay"),
+            std::string::npos)
+      << tb.machine(0).crash_reason();
+  EXPECT_EQ(tb.emulator().pending_events(), 0u);
 }
 
 TEST(Testbed, GuestFaultBecomesCrashNotAbort) {
