@@ -118,6 +118,7 @@ CounterSnapshot Counters::snapshot() const {
   s.branch_retries = branch_retries.load(std::memory_order_relaxed);
   s.branch_quarantines = branch_quarantines.load(std::memory_order_relaxed);
   s.budget_aborts = budget_aborts.load(std::memory_order_relaxed);
+  s.unroutable_sends = unroutable_sends.load(std::memory_order_relaxed);
   s.decode_hits = decode_hits.load(std::memory_order_relaxed);
   s.decode_misses = decode_misses.load(std::memory_order_relaxed);
   s.emu_events = emu_events.load(std::memory_order_relaxed);
@@ -159,6 +160,7 @@ void Counters::reset() {
   branch_retries.store(0, std::memory_order_relaxed);
   branch_quarantines.store(0, std::memory_order_relaxed);
   budget_aborts.store(0, std::memory_order_relaxed);
+  unroutable_sends.store(0, std::memory_order_relaxed);
   decode_hits.store(0, std::memory_order_relaxed);
   decode_misses.store(0, std::memory_order_relaxed);
   emu_events.store(0, std::memory_order_relaxed);
@@ -257,6 +259,7 @@ void Tracer::enable(Clock clock, std::size_t capacity) {
   clock_.store(clock, std::memory_order_relaxed);
   enable_anchor_ns_ = steady_now_ns();
   counters_.reset();
+  pool_busy_ns_.store(0, std::memory_order_relaxed);
   detail::g_enabled.store(true, std::memory_order_relaxed);
 }
 
@@ -316,6 +319,7 @@ std::string Tracer::chrome_json() const {
       {"branch_retries", c.branch_retries},
       {"branch_quarantines", c.branch_quarantines},
       {"budget_aborts", c.budget_aborts},
+      {"unroutable_sends", c.unroutable_sends},
       {"decode_hits", c.decode_hits},
       {"decode_misses", c.decode_misses},
       {"emu_events", c.emu_events},
@@ -429,6 +433,15 @@ Span::~Span() {
     ev.dur_us = Tracer::instance().wall_now_us() - wall_start_us_;
   }
   Tracer::instance().record(std::move(ev));
+}
+
+BusyScope::BusyScope() {
+  if (active()) start_ns_ = steady_now_ns();
+}
+
+BusyScope::~BusyScope() {
+  if (start_ns_ >= 0)
+    Tracer::instance().add_pool_busy_ns(steady_now_ns() - start_ns_);
 }
 
 Span& Span::at(Time virtual_ts) {

@@ -60,6 +60,7 @@ std::string_view clock_name(Clock c);
   X(branch_retries)              \
   X(branch_quarantines)          \
   X(budget_aborts)               \
+  X(unroutable_sends)            \
   X(decode_hits)                 \
   X(decode_misses)               \
   X(emu_events)                  \
@@ -91,7 +92,7 @@ std::string_view clock_name(Clock c);
   X(advance_ns)                  \
   X(dropped_events)
 
-inline constexpr std::size_t kCounterFieldCount = 34;
+inline constexpr std::size_t kCounterFieldCount = 35;
 
 /// Plain-value copy of the counter set at one moment.
 struct CounterSnapshot {
@@ -99,6 +100,7 @@ struct CounterSnapshot {
   std::uint64_t branch_retries = 0;   ///< mirrors SearchCost::retries
   std::uint64_t branch_quarantines = 0;  ///< mirrors SearchResult::failed size
   std::uint64_t budget_aborts = 0;    ///< branches ended by the event budget
+  std::uint64_t unroutable_sends = 0;  ///< guest sends to dst >= nodes, dropped
   std::uint64_t decode_hits = 0;      ///< DecodedSnapshot cache hits
   std::uint64_t decode_misses = 0;    ///< DecodedSnapshot cache misses
   std::uint64_t emu_events = 0;       ///< emulator events dispatched
@@ -143,6 +145,7 @@ struct Counters {
   std::atomic<std::uint64_t> branch_retries{0};
   std::atomic<std::uint64_t> branch_quarantines{0};
   std::atomic<std::uint64_t> budget_aborts{0};
+  std::atomic<std::uint64_t> unroutable_sends{0};
   std::atomic<std::uint64_t> decode_hits{0};
   std::atomic<std::uint64_t> decode_misses{0};
   std::atomic<std::uint64_t> emu_events{0};
@@ -239,6 +242,15 @@ class Tracer {
   /// Wall microseconds since enable() (wall-mode timestamps).
   std::int64_t wall_now_us() const;
 
+  /// Wall time worker threads spent running tasks since enable() (see
+  /// BusyScope). Wall-clock, so it is reported only in the fleet block.
+  void add_pool_busy_ns(std::int64_t ns) {
+    pool_busy_ns_.fetch_add(ns, std::memory_order_relaxed);
+  }
+  std::int64_t pool_busy_ns() const {
+    return pool_busy_ns_.load(std::memory_order_relaxed);
+  }
+
  private:
   Tracer() = default;
 
@@ -248,6 +260,7 @@ class Tracer {
   std::atomic<Clock> clock_{Clock::kVirtual};
   std::int64_t enable_anchor_ns_ = 0;  ///< steady_clock at enable()
   Counters counters_;
+  std::atomic<std::int64_t> pool_busy_ns_{0};
 };
 
 namespace detail {
@@ -289,6 +302,20 @@ class Span {
   Time vts_ = 0;
   Duration vdur_ = 0;
   std::string args_;
+};
+
+/// Adds the wall time of its scope to Tracer::pool_busy_ns(): wraps each
+/// pool task, and the branches a one-worker search runs inline. No-op unless
+/// tracing is active at construction (one relaxed load).
+class BusyScope {
+ public:
+  BusyScope();
+  ~BusyScope();
+  BusyScope(const BusyScope&) = delete;
+  BusyScope& operator=(const BusyScope&) = delete;
+
+ private:
+  std::int64_t start_ns_ = -1;  ///< steady clock; -1 = tracing was off
 };
 
 /// One-shot instant event ('i'). `virtual_ts` stamps it in virtual mode; wall

@@ -359,6 +359,7 @@ void Coordinator::merge_telemetry(std::uint64_t conn_id,
   bump(c.proxy_observed, delta.proxy_observed);
   bump(c.proxy_injected, delta.proxy_injected);
   bump(c.budget_aborts, delta.budget_aborts);
+  bump(c.unroutable_sends, delta.unroutable_sends);
   bump(c.cow_page_faults, delta.cow_page_faults);
   bump(c.dist_bytes_sent, delta.dist_bytes_sent);
   bump(c.dist_bytes_recv, delta.dist_bytes_recv);

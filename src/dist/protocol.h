@@ -64,7 +64,8 @@ constexpr std::uint32_t kMaxFramePayload = 256u << 20;
 // snapshot-encoding term.
 // v5: snapshot blobs carry no timer section; each armed guest timer is one
 // kTimer event in the emulator section.
-constexpr std::uint32_t kProtocolVersion = 5;
+// v6: the counter snapshot gains unroutable_sends.
+constexpr std::uint32_t kProtocolVersion = 6;
 
 struct Frame {
   FrameType type = FrameType::kHello;

@@ -16,6 +16,7 @@ std::string_view disposition_name(PacketDisposition d) {
     case PacketDisposition::kRejected: return "rejected";
     case PacketDisposition::kProxyDropped: return "proxy-dropped";
     case PacketDisposition::kProxyHeld: return "proxy-held";
+    case PacketDisposition::kUnroutable: return "unroutable";
   }
   return "?";
 }
@@ -87,6 +88,7 @@ void FlightRecorder::record(PacketRecord rec) {
         break;
       case PacketDisposition::kDelivered:
       case PacketDisposition::kProxyHeld:
+      case PacketDisposition::kUnroutable:  // no link: dst is out of range
         break;  // ring-only: neither a transmission nor a loss
     }
   }

@@ -35,6 +35,7 @@ enum class PacketDisposition : std::uint8_t {
   kRejected = 4,      ///< destination net device refused the frame
   kProxyDropped = 5,  ///< malicious proxy returned no deliveries
   kProxyHeld = 6,     ///< malicious proxy held the whole message
+  kUnroutable = 7,    ///< guest addressed a node outside the fleet: dropped
 };
 
 std::string_view disposition_name(PacketDisposition d);

@@ -24,6 +24,12 @@ class Testbed::Ctx final : public vm::GuestContext {
   Rng& rng() override { return m_.rng(); }
 
   void send(NodeId dst, Bytes message) override {
+    // An address outside the fleet is the guest's mistake (often one a lie
+    // talked it into), not the platform's: the packet goes nowhere.
+    if (dst >= tb_.nodes()) {
+      tb_.drop_unroutable(m_.id(), dst, message);
+      return;
+    }
     tb_.emu_.send_message(m_.id(), dst, std::move(message));
   }
 
@@ -109,6 +115,23 @@ void Testbed::start() {
     Ctx ctx(*this, *vm);
     guard_guest_call(*vm, [&] { vm->guest().start(ctx); });
   }
+}
+
+void Testbed::drop_unroutable(NodeId src, NodeId dst, BytesView message) {
+  if (trace::active())
+    trace::counters().unroutable_sends.fetch_add(1, std::memory_order_relaxed);
+  netem::FlightRecorder* recorder = emu_.recorder();
+  if (recorder == nullptr) return;
+  netem::PacketRecord rec;
+  rec.t = emu_.now();
+  rec.src = src;
+  rec.dst = dst;
+  rec.size = static_cast<std::uint32_t>(message.size());
+  rec.disposition = netem::PacketDisposition::kUnroutable;
+  const std::size_t head =
+      std::min<std::size_t>(message.size(), recorder->spec().snaplen);
+  rec.head.assign(message.begin(), message.begin() + head);
+  recorder->record(std::move(rec));
 }
 
 std::vector<NodeId> Testbed::crashed_nodes() const {

@@ -169,6 +169,9 @@ class Testbed final : public netem::MessageSink {
 
   void enqueue_input(NodeId node, vm::GuestInput input);
   void run_handler(NodeId node);
+  /// A guest send to a node outside the fleet: dropped before the network,
+  /// counted (unroutable_sends) and, with capture on, recorded.
+  void drop_unroutable(NodeId src, NodeId dst, BytesView message);
   /// Runs `call` (guest code) behind the crash-capture boundary. A template,
   /// not a std::function, so the per-handler lambda is never heap-allocated.
   template <typename Call>

@@ -60,23 +60,36 @@ struct EvalSet {
   std::vector<std::optional<Evaluation>> evals;
 };
 
+std::vector<std::optional<Evaluation>> evaluations(
+    const Scenario& sc, const std::vector<BranchResult>& results,
+    const WindowPerf& base) {
+  std::vector<std::optional<Evaluation>> evals;
+  evals.reserve(results.size());
+  for (const BranchResult& r : results) {
+    if (r.ok()) {
+      evals.push_back(to_evaluation(sc, *r.outcome, base));
+    } else {
+      evals.push_back(std::nullopt);
+    }
+  }
+  return evals;
+}
+
+std::vector<const proxy::MaliciousAction*> pointers(
+    const std::vector<proxy::MaliciousAction>& actions) {
+  std::vector<const proxy::MaliciousAction*> ptrs;
+  ptrs.reserve(actions.size());
+  for (const proxy::MaliciousAction& a : actions) ptrs.push_back(&a);
+  return ptrs;
+}
+
 EvalSet evaluate_all(BranchExecutor& exec,
                      const BranchExecutor::InjectionPoint& ip,
                      const std::vector<proxy::MaliciousAction>& actions,
                      const WindowPerf& base) {
-  std::vector<const proxy::MaliciousAction*> ptrs;
-  ptrs.reserve(actions.size());
-  for (const proxy::MaliciousAction& a : actions) ptrs.push_back(&a);
   EvalSet es;
-  es.results = exec.run_branches(ip, ptrs, 1);
-  es.evals.reserve(es.results.size());
-  for (const BranchResult& r : es.results) {
-    if (r.ok()) {
-      es.evals.push_back(to_evaluation(exec.scenario(), *r.outcome, base));
-    } else {
-      es.evals.push_back(std::nullopt);
-    }
-  }
+  es.results = exec.run_branches(ip, pointers(actions), 1);
+  es.evals = evaluations(exec.scenario(), es.results, base);
   return es;
 }
 
@@ -634,6 +647,35 @@ SearchResult greedy_search(const Scenario& sc, const GreedyOptions& opt,
 // Weighted greedy (Fig. 2c) — the paper's algorithm
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// One injection point's progress through the weighted-greedy pipeline:
+/// three batches (baseline, one-window evaluations, two-window
+/// classifications of the qualifying actions), each submitted once its
+/// predecessor's results are in and merged strictly in search order.
+struct PointWork {
+  const BranchExecutor::InjectionPoint* ip = nullptr;
+  std::vector<proxy::MaliciousAction> actions;
+  std::vector<const proxy::MaliciousAction*> qualifying;
+  std::vector<std::size_t> qualifying_index;
+  std::optional<WindowPerf> base;  ///< set once the baseline succeeded
+  std::vector<std::optional<Evaluation>> evals;
+  std::vector<BranchResult> eval_results;  ///< merged evaluation batch
+  std::vector<BranchResult> classified;    ///< merged classification batch
+  Duration cost_before = 0;  ///< cost clock just after the baseline merge
+  bool baseline_failed = false;
+  int submitted = 0;  ///< batches submitted (1..3)
+  int merged = 0;     ///< batches merged, in order
+  std::unique_ptr<trace::Span> scan_span;
+  /// Last, so they are destroyed — and drain their queued branches — first,
+  /// while the actions those branches point at are still alive.
+  BranchExecutor::PendingBatch batches[3];
+
+  bool done() const { return merged == (baseline_failed ? 1 : 3); }
+};
+
+}  // namespace
+
 SearchResult weighted_greedy_search(const Scenario& sc,
                                     const WeightedOptions& opt,
                                     ClusterWeights* learned, Journal* journal,
@@ -651,54 +693,78 @@ SearchResult weighted_greedy_search(const Scenario& sc,
 
   ClusterWeights weights = opt.initial;
 
+  // The serial scan tries actions one at a time in descending cluster-weight
+  // order. The *set* of branches it executes is order-independent: every
+  // action is evaluated once, and every action whose damage exceeds Δ is
+  // additionally classified. So each point's branches run as three batches,
+  // pipelined across points on one pool queue: every baseline is submitted
+  // up front, a point's evaluations once its baseline succeeded, its
+  // qualifying classifications once its evaluations are in. Merges — cost,
+  // quarantines, provenance, journal — happen in the serial order (point by
+  // point: baseline, evaluations, classifications), and the weight-ordered
+  // scan below each point's merges is a replay over precomputed outcomes, so
+  // report order, weight bumps and found_after are byte-identical to the
+  // serial algorithm.
+  std::vector<PointWork> work;
+  work.reserve(points.size());
   for (const auto& ip : points) {
     const wire::MessageSpec* spec = sc.schema->by_tag(ip.tag);
     if (spec == nullptr) continue;
-    const std::vector<proxy::MaliciousAction> actions =
-        proxy::enumerate_actions(*spec, sc.actions);
-    const std::optional<WindowPerf> base_opt = exec.try_baseline(ip);
-    if (!base_opt) continue;  // baseline quarantined: skip the whole type
-    const WindowPerf base = *base_opt;
+    PointWork& w = work.emplace_back();
+    w.ip = &ip;
+    w.actions = proxy::enumerate_actions(*spec, sc.actions);
+    w.batches[0] = exec.submit_branches(ip, {nullptr}, 1);
+    w.submitted = 1;
+  }
 
-    // The serial scan tries actions one at a time in descending cluster-
-    // weight order. The *set* of branches it executes is order-independent:
-    // every action is evaluated once, and every action whose damage exceeds
-    // Δ is additionally classified. So both rounds fan out as batches, and
-    // the weight-ordered scan below is a replay over precomputed outcomes —
-    // report order, weight bumps and found_after are byte-identical to the
-    // serial algorithm.
-    const Duration cost_before = exec.cost().total();
-    trace::Span scan_span("search", "weighted-scan");
-    if (trace::active()) {
-      scan_span.at(ip.time)
-          .arg("message", spec->name)
-          .arg("actions", static_cast<std::uint64_t>(actions.size()));
-    }
-    const EvalSet es = evaluate_all(exec, ip, actions, base);
-
-    std::vector<const proxy::MaliciousAction*> qualifying;
-    std::vector<std::size_t> qualifying_index(actions.size(), SIZE_MAX);
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-      if (es.evals[i] && es.evals[i]->rank() > sc.delta) {
-        qualifying_index[i] = qualifying.size();
-        qualifying.push_back(&actions[i]);
+  // Submits `w`'s next batch once its latest one has finished; false when
+  // there is nothing to do for `w` yet.
+  const auto advance = [&](PointWork& w) {
+    if (w.baseline_failed || w.submitted == 3 ||
+        !w.batches[w.submitted - 1].ready())
+      return false;
+    const BranchExecutor::InjectionPoint& ip = *w.ip;
+    if (w.submitted == 1) {
+      const BranchResult& b = w.batches[0].results()[0];
+      if (!b.ok()) {
+        w.baseline_failed = true;  // baseline quarantined: skip the type
+        return true;
       }
+      w.base = b.outcome->windows[0];
+      w.scan_span = std::make_unique<trace::Span>("search", "weighted-scan");
+      if (trace::active()) {
+        w.scan_span->at(ip.time)
+            .arg("message", ip.message_name)
+            .arg("actions", static_cast<std::uint64_t>(w.actions.size()));
+      }
+      w.batches[1] = exec.submit_branches(ip, pointers(w.actions), 1);
+    } else {
+      w.evals = evaluations(sc, w.batches[1].results(), *w.base);
+      w.qualifying_index.assign(w.actions.size(), SIZE_MAX);
+      for (std::size_t i = 0; i < w.actions.size(); ++i) {
+        if (w.evals[i] && w.evals[i]->rank() > sc.delta) {
+          w.qualifying_index[i] = w.qualifying.size();
+          w.qualifying.push_back(&w.actions[i]);
+        }
+      }
+      w.batches[2] = exec.submit_branches(ip, w.qualifying, 2);
     }
-    const std::vector<BranchResult> classified =
-        exec.run_branches(ip, qualifying, 2);
-    scan_span.lasted(exec.cost().total() - cost_before)
-        .arg("qualifying", static_cast<std::uint64_t>(qualifying.size()));
+    ++w.submitted;
+    return true;
+  };
 
-    // Replay: pick the not-yet-tried action from the highest-weight cluster
-    // (stable: enumeration order breaks ties), so learned weights steer both
-    // this message type's scan and every later one. `running` reconstructs
-    // the serial cost clock — each pick pays every attempt of its evaluation
-    // branch and, if it qualifies, of its classification branch, so
-    // found_after is identical whether branches ran live or replayed from a
-    // journal.
-    const Duration eval_cost = sc.window + sc.branch_cost.load_cost;
-    const Duration classify_cost = 2 * sc.window + sc.branch_cost.load_cost;
-    Duration running = cost_before;
+  // Replay: pick the not-yet-tried action from the highest-weight cluster
+  // (stable: enumeration order breaks ties), so learned weights steer both
+  // this message type's scan and every later one. `running` reconstructs the
+  // serial cost clock — each pick pays every attempt of its evaluation branch
+  // and, if it qualifies, of its classification branch, so found_after is
+  // identical whether branches ran live or replayed from a journal.
+  const Duration eval_cost = sc.window + sc.branch_cost.load_cost;
+  const Duration classify_cost = 2 * sc.window + sc.branch_cost.load_cost;
+  const auto scan = [&](PointWork& w) {
+    const BranchExecutor::InjectionPoint& ip = *w.ip;
+    const std::vector<proxy::MaliciousAction>& actions = w.actions;
+    Duration running = w.cost_before;
     std::vector<std::size_t> alive(actions.size());
     for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = i;
     while (!alive.empty()) {
@@ -711,24 +777,24 @@ SearchResult weighted_greedy_search(const Scenario& sc,
       const std::size_t idx = alive[pick];
       alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(pick));
 
-      running += static_cast<Duration>(es.results[idx].attempts) * eval_cost;
-      if (!es.evals[idx]) continue;  // evaluation quarantined
-      if (es.evals[idx]->rank() <= sc.delta) continue;
+      running +=
+          static_cast<Duration>(w.eval_results[idx].attempts) * eval_cost;
+      if (!w.evals[idx]) continue;  // evaluation quarantined
+      if (w.evals[idx]->rank() <= sc.delta) continue;
 
       // The moment an action qualifies as an attack, report it and raise its
       // cluster's weight. (The paper stops the scan here and lets the user
       // repeat the search; in a deterministic platform re-running with the
       // found attacks excluded is identical to continuing the scan, so we
       // continue — found_after still records when each attack surfaced.)
-      const std::size_t qi = qualifying_index[idx];
-      running +=
-          static_cast<Duration>(classified[qi].attempts) * classify_cost;
-      if (!classified[qi].ok()) continue;  // classification quarantined
+      const BranchResult& cls = w.classified[w.qualifying_index[idx]];
+      running += static_cast<Duration>(cls.attempts) * classify_cost;
+      if (!cls.ok()) continue;  // classification quarantined
       AttackReport rep =
-          make_report(sc, ip, actions[idx], base, *classified[qi].outcome);
+          make_report(sc, ip, actions[idx], *w.base, *cls.outcome);
       rep.found_after = running;
       rep.provenance_key = BranchExecutor::branch_key(ip, &actions[idx], 2);
-      rep.baseline_key = exec.last_baseline_key(ip.tag);
+      rep.baseline_key = BranchExecutor::branch_key(ip, nullptr, 1);
       weights[actions[idx].cluster()] += opt.bump;
       if (trace::active()) {
         trace::instant(
@@ -742,11 +808,54 @@ SearchResult weighted_greedy_search(const Scenario& sc,
       TLOG_INFO("weighted-greedy: %s", rep.describe().c_str());
       res.attacks.push_back(std::move(rep));
     }
+  };
 
-    // Between injection points: evict store pages nothing references any
-    // more, so occupancy tracks the live working set over a long search.
-    exec.evict_unreferenced_pages();
+  // Merges `w`'s next batch once it has finished and advance() has read it
+  // (its successor is submitted or ruled out); false when it has to wait.
+  const auto merge_next = [&](PointWork& w) {
+    const int m = w.merged;
+    const bool read = m + 1 < w.submitted || w.baseline_failed || m == 2;
+    if (m >= w.submitted || !read || !w.batches[m].ready()) return false;
+    if (w.merged == 0) {
+      // Between points: a cancelled search stops on a whole-point boundary.
+      if (cancel_requested()) throw CancelledError();
+      exec.merge_branches(w.batches[0]);
+      w.cost_before = exec.cost().total();
+    } else if (w.merged == 1) {
+      w.eval_results = exec.merge_branches(w.batches[1]);
+    } else {
+      w.classified = exec.merge_branches(w.batches[2]);
+      if (trace::active()) {
+        w.scan_span->lasted(exec.cost().total() - w.cost_before)
+            .arg("qualifying", static_cast<std::uint64_t>(w.qualifying.size()));
+      }
+      w.scan_span.reset();
+      scan(w);
+    }
+    ++w.merged;
+    return true;
+  };
+
+  bool evict = false;
+  std::size_t next = 0;  // first point not yet fully merged
+  while (next < work.size()) {
+    const std::uint64_t seen = exec.finished_branches();
+    bool progress = false;
+    for (std::size_t k = next; k < work.size(); ++k)
+      progress = advance(work[k]) || progress;
+    while (next < work.size() && merge_next(work[next])) {
+      progress = true;
+      if (work[next].done()) {
+        evict = evict || !work[next].baseline_failed;
+        ++next;
+      }
+    }
+    if (!progress) exec.wait_for_branches(seen);
   }
+
+  // Every branch is merged, none is in flight: evict store pages nothing
+  // references any more, so occupancy tracks the live working set.
+  if (evict) exec.evict_unreferenced_pages();
 
   res.cost = exec.cost();
   res.failed = exec.failed();

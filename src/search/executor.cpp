@@ -246,7 +246,7 @@ WindowPerf BranchExecutor::benign_performance() {
   return *benign_perf_;
 }
 
-const runtime::DecodedSnapshot& BranchExecutor::decoded(
+std::shared_ptr<const runtime::DecodedSnapshot> BranchExecutor::decoded(
     const InjectionPoint& ip) {
   TURRET_CHECK_MSG(ip.snapshot != nullptr, "injection point has no snapshot");
   const Bytes& blob = *ip.snapshot;
@@ -269,14 +269,15 @@ const runtime::DecodedSnapshot& BranchExecutor::decoded(
   if (hit == nullptr) {
     // Continuation chains produce a fresh blob per step; keep the cache from
     // growing without bound by dropping everything once it gets large (the
-    // working set is the handful of points branched from right now).
+    // working set is the handful of points branched from right now). Queued
+    // branches keep their own references, so nothing in use is freed.
     if (decoded_cache_entries_ >= 32) {
       decoded_cache_.clear();
       decoded_cache_entries_ = 0;
     }
     DecodedEntry e;
     e.blob = ip.snapshot;
-    e.snapshot = std::make_unique<const runtime::DecodedSnapshot>(
+    e.snapshot = std::make_shared<const runtime::DecodedSnapshot>(
         runtime::Testbed::decode_snapshot(*ip.snapshot,
                                           sc_.testbed.snapshot.store.get()));
     std::vector<DecodedEntry>& c = decoded_cache_[key];  // clear() invalidated
@@ -296,7 +297,7 @@ const runtime::DecodedSnapshot& BranchExecutor::decoded(
         ;
     }
   }
-  return *hit->snapshot;
+  return hit->snapshot;
 }
 
 ThreadPool& BranchExecutor::pool() {
@@ -306,12 +307,12 @@ ThreadPool& BranchExecutor::pool() {
   return *pool_;
 }
 
-const runtime::DecodedSnapshot* BranchExecutor::try_decoded(
+std::shared_ptr<const runtime::DecodedSnapshot> BranchExecutor::try_decoded(
     const InjectionPoint& ip, BranchResult* failure) {
   const int max_attempts = 1 + std::max(0, sc_.fault.max_retries);
   for (int attempt = 1;; ++attempt) {
     try {
-      return &decoded(ip);
+      return decoded(ip);
     } catch (const std::exception& e) {
       failure->attempts = static_cast<std::uint32_t>(attempt);
       failure->error = e.what();
@@ -474,132 +475,239 @@ BranchExecutor::BranchResult BranchExecutor::execute_unit(
   // site is the same one a local branch uses. A decode failure produces the
   // same quarantine record the local path would share across the batch.
   BranchResult decode_failure;
-  const runtime::DecodedSnapshot* snap = try_decoded(ip, &decode_failure);
+  const std::shared_ptr<const runtime::DecodedSnapshot> snap =
+      try_decoded(ip, &decode_failure);
   if (snap == nullptr) return decode_failure;
   return attempt_branch(*snap, ip, action, windows);
+}
+
+/// What a PendingBatch shares with the branches it queued: each task writes
+/// only its own `out` / `errors` slot, then counts itself finished under the
+/// executor's done_mu_, which also guards `in_flight`.
+struct BranchExecutor::PendingBatch::State {
+  InjectionPoint ip;
+  std::vector<const proxy::MaliciousAction*> actions;
+  int windows = 1;
+  std::vector<BranchResult> out;
+  std::vector<bool> replayed;
+  std::vector<std::string> errors;  ///< per entry: harness-level task failure
+  std::size_t in_flight = 0;
+};
+
+BranchExecutor::PendingBatch& BranchExecutor::PendingBatch::operator=(
+    PendingBatch&& o) noexcept {
+  if (this != &o) {
+    drain();
+    exec_ = o.exec_;
+    state_ = std::move(o.state_);
+  }
+  return *this;
+}
+
+BranchExecutor::PendingBatch::~PendingBatch() { drain(); }
+
+void BranchExecutor::PendingBatch::drain() noexcept {
+  if (state_ == nullptr) return;
+  std::unique_lock<std::mutex> lock(exec_->done_mu_);
+  exec_->done_cv_.wait(lock, [this] { return state_->in_flight == 0; });
+}
+
+bool BranchExecutor::PendingBatch::ready() const {
+  if (state_ == nullptr) return true;
+  std::lock_guard<std::mutex> lock(exec_->done_mu_);
+  return state_->in_flight == 0;
+}
+
+const std::vector<BranchExecutor::BranchResult>&
+BranchExecutor::PendingBatch::results() {
+  TURRET_CHECK_MSG(state_ != nullptr, "results() of an empty or merged batch");
+  drain();
+  // attempt_branch contains everything a branch can throw, so a task only
+  // fails on harness-level errors (allocation failure in the error path).
+  // Every one is reported, not just the first.
+  std::vector<std::string> errors;
+  for (const std::string& e : state_->errors) {
+    if (!e.empty()) errors.push_back(e);
+  }
+  if (!errors.empty()) throw AggregateBranchError(errors);
+  return state_->out;
+}
+
+std::uint64_t BranchExecutor::finished_branches() const {
+  std::lock_guard<std::mutex> lock(done_mu_);
+  return finished_;
+}
+
+void BranchExecutor::wait_for_branches(std::uint64_t seen) const {
+  std::unique_lock<std::mutex> lock(done_mu_);
+  done_cv_.wait(lock, [this, seen] { return finished_ != seen; });
 }
 
 std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
     const InjectionPoint& ip,
     const std::vector<const proxy::MaliciousAction*>& actions, int windows) {
+  PendingBatch batch = submit_branches(ip, actions, windows);
+  return merge_branches(batch);
+}
+
+BranchExecutor::PendingBatch BranchExecutor::submit_branches(
+    const InjectionPoint& ip,
+    std::vector<const proxy::MaliciousAction*> actions, int windows) {
   TURRET_CHECK(windows >= 1);
-  // Cancellation is consumed only at batch boundaries: a batch that started
-  // runs to completion and is journaled whole, so any interrupted journal is
-  // a clean prefix and --resume reproduces the uninterrupted result.
+  // Cancellation is consumed only at submits and merges: a batch that was
+  // submitted runs to completion, and merges journal whole batches in
+  // order, so any interrupted journal is a clean prefix and --resume
+  // reproduces the uninterrupted result.
   if (cancel_requested()) throw CancelledError();
-  std::vector<BranchResult> out(actions.size());
+  PendingBatch batch;
+  batch.exec_ = this;
+  batch.state_ = std::make_shared<PendingBatch::State>();
+  PendingBatch::State& st = *batch.state_;
+  st.ip = ip;
+  st.actions = std::move(actions);
+  st.windows = windows;
+  const std::size_t n = st.actions.size();
+  st.out.resize(n);
+  st.replayed.assign(n, false);
+  st.errors.resize(n);
 
   // Resume: consume journaled results first (in input order, which matches
   // the order the interrupted run appended them). Only the misses execute.
-  std::vector<bool> replayed(actions.size(), false);
   std::vector<std::size_t> live;
-  live.reserve(actions.size());
-  for (std::size_t i = 0; i < actions.size(); ++i) {
+  live.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     if (journal_ != nullptr) {
-      if (auto rec = journal_->replay(branch_key(ip, actions[i], windows))) {
-        out[i] = decode_branch_result(*rec);
-        replayed[i] = true;
+      const std::string key = branch_key(ip, st.actions[i], windows);
+      if (auto rec = journal_->replay(key)) {
+        st.out[i] = decode_branch_result(*rec);
+        st.replayed[i] = true;
         if (trace::active()) {
           trace::counters().journal_replays.fetch_add(
               1, std::memory_order_relaxed);
-          trace::instant(
-              "search", "journal-replay", ip.time,
-              trace::Args()
-                  .add("key", branch_key(ip, actions[i], windows))
-                  .take());
+          trace::instant("search", "journal-replay", ip.time,
+                         trace::Args().add("key", key).take());
         }
         continue;
       }
     }
     live.push_back(i);
   }
+  if (live.empty()) return batch;
 
-  if (!live.empty()) {
-    BranchResult decode_failure;
-    const runtime::DecodedSnapshot* snap = try_decoded(ip, &decode_failure);
-    if (snap == nullptr) {
-      // The injection point's snapshot is unusable: every pending branch
-      // inherits the decode failure as its quarantine record.
-      for (const std::size_t i : live) out[i] = decode_failure;
-    } else {
-      // Remote dispatch: ship the live branches to the distributed backend
-      // when one is attached and reachable. Whatever it could not place
-      // (no workers, every worker died mid-batch) stays in `pending` and
-      // degrades to the local pool below — results are byte-identical
-      // either way, because workers run the same attempt_branch against the
-      // same decoded snapshot and the merge below is input-order regardless.
-      // Provenance harvesting is in-process-only, so it forces local.
-      std::vector<std::size_t> pending = live;
-      if (remote_ != nullptr && provenance_ == nullptr &&
-          remote_->available()) {
-        const auto remote_out =
-            remote_->run_remote(ip, actions, live, windows, *snap);
-        TURRET_CHECK_MSG(remote_out.size() == live.size(),
-                         "remote backend returned a mismatched batch");
-        pending.clear();
-        for (std::size_t k = 0; k < live.size(); ++k) {
-          if (remote_out[k].has_value()) {
-            out[live[k]] = *remote_out[k];
-          } else {
-            pending.push_back(live[k]);
-          }
-        }
-      }
-      if (remote_ != nullptr && !pending.empty() && trace::active()) {
-        trace::counters().dist_local_fallbacks.fetch_add(
-            pending.size(), std::memory_order_relaxed);
-      }
-      if (pending.size() <= 1 || default_jobs() <= 1) {
-        for (const std::size_t i : pending) {
-          out[i] = attempt_branch(*snap, ip, actions[i], windows);
-        }
+  BranchResult decode_failure;
+  const std::shared_ptr<const runtime::DecodedSnapshot> snap =
+      try_decoded(ip, &decode_failure);
+  if (snap == nullptr) {
+    // The injection point's snapshot is unusable: every pending branch
+    // inherits the decode failure as its quarantine record.
+    for (const std::size_t i : live) st.out[i] = decode_failure;
+    return batch;
+  }
+
+  // Remote dispatch: ship the live branches to the distributed backend when
+  // one is attached and reachable. Whatever it could not place (no workers,
+  // every worker died mid-batch) stays in `pending` and degrades to the
+  // local pool below — results are byte-identical either way, because
+  // workers run the same attempt_branch against the same decoded snapshot
+  // and the merge is input-order regardless. Provenance harvesting is
+  // in-process-only, so it forces local.
+  std::vector<std::size_t> pending = live;
+  if (remote_ != nullptr && provenance_ == nullptr && remote_->available()) {
+    const auto remote_out =
+        remote_->run_remote(ip, st.actions, live, windows, *snap);
+    TURRET_CHECK_MSG(remote_out.size() == live.size(),
+                     "remote backend returned a mismatched batch");
+    pending.clear();
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      if (remote_out[k].has_value()) {
+        st.out[live[k]] = *remote_out[k];
       } else {
-        ThreadPool& workers = pool();
-        std::vector<std::future<BranchResult>> futures;
-        futures.reserve(pending.size());
-        for (const std::size_t i : pending) {
-          const proxy::MaliciousAction* action = actions[i];
-          futures.push_back(workers.submit([this, snap, &ip, action, windows] {
-            return attempt_branch(*snap, ip, action, windows);
-          }));
-        }
-        // Merge in input order. attempt_branch contains everything a branch
-        // can throw, so the futures only fail on harness-level errors — drain
-        // every one (the tasks reference run_branches locals) and aggregate
-        // instead of dropping all errors after the first.
-        std::vector<std::string> errors;
-        for (std::size_t k = 0; k < futures.size(); ++k) {
-          try {
-            out[pending[k]] = futures[k].get();
-          } catch (const std::exception& e) {
-            errors.push_back(e.what());
-          } catch (...) {
-            errors.push_back("unknown error");
-          }
-        }
-        if (!errors.empty()) throw AggregateBranchError(errors);
+        pending.push_back(live[k]);
       }
     }
   }
+  if (remote_ != nullptr && !pending.empty() && trace::active()) {
+    trace::counters().dist_local_fallbacks.fetch_add(
+        pending.size(), std::memory_order_relaxed);
+  }
+
+  if (default_jobs() <= 1) {
+    // One worker: the calling thread is it, and its branch time is that
+    // worker's busy time.
+    const trace::BusyScope busy;
+    for (const std::size_t i : pending)
+      st.out[i] = attempt_branch(*snap, st.ip, st.actions[i], windows);
+    return batch;
+  }
+  // Even a one-branch batch is queued: the caller may be pipelining
+  // several batches, and an inline run would idle every other worker.
+  ThreadPool& workers = pool();
+  for (const std::size_t i : pending) {
+    // Counted before it is queued, so no drain can miss it.
+    {
+      std::lock_guard<std::mutex> lock(done_mu_);
+      ++st.in_flight;
+    }
+    // Each task holds its own references to the batch state and the decoded
+    // snapshot: the decode cache may drop its entry before the task runs.
+    const auto task = [this, state = batch.state_, snap, i] {
+      BranchResult r;
+      std::string error;
+      try {
+        r = attempt_branch(*snap, state->ip, state->actions[i],
+                           state->windows);
+      } catch (const std::exception& e) {
+        error = e.what();
+      } catch (...) {
+        error = "unknown error";
+      }
+      {
+        std::lock_guard<std::mutex> lock(done_mu_);
+        state->out[i] = std::move(r);
+        state->errors[i] = std::move(error);
+        --state->in_flight;
+        ++finished_;
+      }
+      done_cv_.notify_all();
+    };
+    try {
+      workers.submit(task);
+    } catch (...) {
+      // Never queued: uncount it, or the batch's drain would wait forever.
+      std::lock_guard<std::mutex> lock(done_mu_);
+      --st.in_flight;
+      throw;
+    }
+  }
+  return batch;
+}
+
+std::vector<BranchExecutor::BranchResult> BranchExecutor::merge_branches(
+    PendingBatch& batch) {
+  TURRET_CHECK_MSG(batch.exec_ == this && batch.state_ != nullptr,
+                   "merge of an empty, merged or foreign batch");
+  batch.results();
+  const std::shared_ptr<PendingBatch::State> state = std::move(batch.state_);
+  PendingBatch::State& st = *state;
 
   // Deterministic bookkeeping in input order: per-branch charges are
   // run_branch's multiplied over attempts (replayed entries charge the
   // attempts they recorded), quarantines are recorded, and fresh results are
   // journaled. Integer sums are order-independent, so serial and parallel
   // runs account the same cost.
-  for (std::size_t i = 0; i < actions.size(); ++i) {
-    charge_attempts(out[i].attempts, windows);
-    if (!out[i].ok()) record_failure(ip, actions[i], out[i]);
-    if (provenance_ != nullptr && out[i].ok() &&
-        out[i].outcome->provenance != nullptr) {
-      provenance_->add(out[i].outcome->provenance);
+  for (std::size_t i = 0; i < st.actions.size(); ++i) {
+    const BranchResult& r = st.out[i];
+    charge_attempts(r.attempts, st.windows);
+    if (!r.ok()) record_failure(st.ip, st.actions[i], r);
+    if (provenance_ != nullptr && r.ok() && r.outcome->provenance != nullptr) {
+      provenance_->add(r.outcome->provenance);
     }
-    if (journal_ != nullptr && !replayed[i]) {
-      journal_->append(branch_key(ip, actions[i], windows),
-                       encode_branch_result(out[i]));
+    if (journal_ != nullptr && !st.replayed[i]) {
+      journal_->append(branch_key(st.ip, st.actions[i], st.windows),
+                       encode_branch_result(r));
     }
   }
-  return out;
+  return std::move(st.out);
 }
 
 void BranchExecutor::evict_unreferenced_pages() {
@@ -660,7 +768,8 @@ BranchExecutor::try_continue_branch(const InjectionPoint& ip,
                                     const proxy::MaliciousAction* action,
                                     Duration dur) {
   BranchResult failure;
-  const runtime::DecodedSnapshot* snap = try_decoded(ip, &failure);
+  const std::shared_ptr<const runtime::DecodedSnapshot> snap =
+      try_decoded(ip, &failure);
   const int max_attempts = 1 + std::max(0, sc_.fault.max_retries);
   std::optional<InjectionPoint> next;
   std::uint32_t attempts = failure.attempts;

@@ -7,8 +7,10 @@
 // every malicious branch diverge only by the armed action (paper §III-B/C).
 #pragma once
 
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -27,11 +29,12 @@ struct BranchProvenance;
 class ProvenanceStore;
 class RemoteBackend;
 
-/// Thrown by run_branches (and the algorithms above it) when a cooperative
+/// Thrown by submit_branches (and the algorithms above it) when a cooperative
 /// cancellation was requested — turret-run's SIGINT/SIGTERM handlers call
-/// request_cancel(), the search unwinds at the next batch boundary, and the
-/// journal is left whole-batch consistent (a resumed search reproduces the
-/// uninterrupted result byte-for-byte from any such prefix).
+/// request_cancel(), the search unwinds at the next submit (weighted greedy
+/// also checks between injection points' merges), and the journal is left
+/// whole-batch consistent (a resumed search reproduces the uninterrupted
+/// result byte-for-byte from any such prefix).
 class CancelledError : public std::runtime_error {
  public:
   CancelledError() : std::runtime_error("search cancelled") {}
@@ -193,6 +196,34 @@ class BranchExecutor {
                               const proxy::MaliciousAction* action,
                               int windows);
 
+  /// A batch queued by submit_branches and not yet merged. Move-only. Its
+  /// destructor waits for every branch it queued, so unwinding past an
+  /// unmerged batch (CancelledError, a failed merge) never leaves a task
+  /// running against the caller's actions.
+  class PendingBatch {
+   public:
+    PendingBatch() = default;
+    PendingBatch(PendingBatch&&) noexcept = default;
+    PendingBatch& operator=(PendingBatch&& o) noexcept;
+    ~PendingBatch();
+
+    /// Has every branch of the batch finished? Never blocks.
+    bool ready() const;
+
+    /// Waits for the batch, then its results in input order, before any
+    /// bookkeeping (nothing is charged, recorded or journaled yet). Throws
+    /// AggregateBranchError when a task failed outside containment.
+    const std::vector<BranchResult>& results();
+
+   private:
+    friend class BranchExecutor;
+    struct State;
+    void drain() noexcept;
+
+    BranchExecutor* exec_ = nullptr;
+    std::shared_ptr<State> state_;
+  };
+
   /// Batch form of try_run_branch: one branch per entry of `actions`
   /// (nullptr = baseline branch), fanned out across a worker pool of
   /// default_jobs() threads. Results come back in input order and are
@@ -200,9 +231,32 @@ class BranchExecutor {
   /// worker count: each branch is an isolated ScenarioWorld restored from one
   /// shared immutable decoded snapshot, retries happen inside the owning
   /// worker, and cost accounting sums the same per-branch charges.
+  /// Equivalent to merge_branches(submit_branches(...)).
   std::vector<BranchResult> run_branches(
       const InjectionPoint& ip,
       const std::vector<const proxy::MaliciousAction*>& actions, int windows);
+
+  /// The first half of run_branches, on the calling thread: checks for
+  /// cancellation, replays journaled entries, decodes the snapshot (cached)
+  /// and queues the live branches on the pool. A remote backend runs its
+  /// share synchronously here; at default_jobs() == 1 the branches run
+  /// inline. `actions` must outlive the returned batch.
+  PendingBatch submit_branches(
+      const InjectionPoint& ip,
+      std::vector<const proxy::MaliciousAction*> actions, int windows);
+
+  /// The second half: waits for `batch`, then charges, records quarantines,
+  /// adds provenance and journals fresh results in input order, and empties
+  /// the handle. Batches merged in the order a serial search would have run
+  /// them produce its cost clock, failed() order and journal exactly.
+  std::vector<BranchResult> merge_branches(PendingBatch& batch);
+
+  /// Branches of submitted batches that have finished so far. A scheduler
+  /// juggling several batches reads this, polls ready(), and — when nothing
+  /// it waits for is ready — sleeps in wait_for_branches(seen) until another
+  /// branch finishes.
+  std::uint64_t finished_branches() const;
+  void wait_for_branches(std::uint64_t seen) const;
 
   /// Benign branch performance over the first window from `ip` (cached).
   /// Throws after retry exhaustion.
@@ -269,13 +323,15 @@ class BranchExecutor {
                       const BranchResult& r);
 
   /// Decoded form of ip.snapshot, parsed once per distinct blob and shared by
-  /// every branch from that injection point.
-  const runtime::DecodedSnapshot& decoded(const InjectionPoint& ip);
+  /// every branch from that injection point. Queued branches hold their own
+  /// reference, so clearing the cache never frees a snapshot in use.
+  std::shared_ptr<const runtime::DecodedSnapshot> decoded(
+      const InjectionPoint& ip);
 
   /// Contained decode: retries per sc.fault; nullptr after exhaustion, with
   /// `failure` describing the quarantine every pending branch inherits.
-  const runtime::DecodedSnapshot* try_decoded(const InjectionPoint& ip,
-                                              BranchResult* failure);
+  std::shared_ptr<const runtime::DecodedSnapshot> try_decoded(
+      const InjectionPoint& ip, BranchResult* failure);
 
   /// Worker pool sized to default_jobs(), rebuilt when the knob changes.
   ThreadPool& pool();
@@ -292,7 +348,7 @@ class BranchExecutor {
 
   struct DecodedEntry {
     std::shared_ptr<const Bytes> blob;  ///< byte-compare settles hash ties
-    std::unique_ptr<const runtime::DecodedSnapshot> snapshot;
+    std::shared_ptr<const runtime::DecodedSnapshot> snapshot;
   };
   /// Keyed by blob content (Digest128 of the bytes), not blob address:
   /// continuation chains and journal replays that re-materialize an identical
@@ -301,6 +357,13 @@ class BranchExecutor {
   /// the hash_collisions / hash_chain_max counters.
   std::map<Digest128, std::vector<DecodedEntry>> decoded_cache_;
   std::size_t decoded_cache_entries_ = 0;
+
+  /// Completion signal of queued branches: each finishing task decrements
+  /// its batch's in-flight count and bumps finished_ under done_mu_. Declared
+  /// before pool_, whose destructor still runs queued tasks.
+  mutable std::mutex done_mu_;
+  mutable std::condition_variable done_cv_;
+  std::uint64_t finished_ = 0;
 
   std::unique_ptr<ThreadPool> pool_;
   std::vector<FailedBranch> failed_;

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace turret::search {
 namespace {
@@ -29,6 +30,12 @@ double TelemetrySnapshot::branches_per_sec() const {
          (1e9 / static_cast<double>(exec_ns));
 }
 
+double TelemetrySnapshot::pool_busy_share() const {
+  if (wall_us <= 0 || jobs == 0) return 0;
+  return static_cast<double>(pool_busy_ns) /
+         (static_cast<double>(wall_us) * 1e3 * jobs);
+}
+
 double TelemetrySnapshot::decode_hit_rate() const {
   const std::uint64_t touches = counters.decode_hits + counters.decode_misses;
   if (touches == 0) return 0;
@@ -46,6 +53,7 @@ std::string TelemetrySnapshot::to_json() const {
   out += ",\"retries\":" + u64(c.branch_retries);
   out += ",\"quarantines\":" + u64(c.branch_quarantines);
   out += ",\"budget_aborts\":" + u64(c.budget_aborts);
+  out += ",\"unroutable_sends\":" + u64(c.unroutable_sends);
   out += ",\"decode_hits\":" + u64(c.decode_hits);
   out += ",\"decode_misses\":" + u64(c.decode_misses);
   out += ",\"emu_events\":" + u64(c.emu_events);
@@ -83,6 +91,11 @@ std::string TelemetrySnapshot::fleet_json() const {
   const trace::CounterSnapshot& c = counters;
   std::string out = "{";
   out += "\"workers\":" + u64(workers);
+  // Wall-clock facts of the local branch pool: how much of its capacity the
+  // search kept busy (idle workers at scheduling barriers show up here).
+  out += ",\"jobs\":" + u64(jobs);
+  out += ",\"pool_busy_s\":" + num(static_cast<double>(pool_busy_ns) * 1e-9);
+  out += ",\"pool_busy_share\":" + num(pool_busy_share());
   // The dist transport counters live here, not in the stats block: bytes and
   // unit flow depend on how many workers the fleet happens to have, so they
   // can never be byte-identical across 0..N workers the way the core is.
@@ -120,6 +133,8 @@ TelemetrySnapshot capture_telemetry() {
   t.counters = tracer.counters().snapshot();
   t.clock = tracer.clock();
   t.wall_us = tracer.wall_now_us();
+  t.pool_busy_ns = tracer.pool_busy_ns();
+  t.jobs = default_jobs();
   return t;
 }
 

@@ -30,6 +30,11 @@ struct TelemetrySnapshot {
   trace::Clock clock = trace::Clock::kVirtual;
   std::int64_t wall_us = 0;  ///< elapsed wall time; reported only in kWall
 
+  /// Wall time the branch worker pool spent running tasks (at one job, the
+  /// inline branch time), and the job count it ran with. Fleet block only.
+  std::int64_t pool_busy_ns = 0;
+  unsigned jobs = 1;
+
   /// Fleet shape (filled by turret-run from the coordinator; zero/empty for
   /// in-process runs). Kept out of the stats block: the core counters are
   /// byte-identical at any worker count once worker execution deltas are
@@ -37,6 +42,10 @@ struct TelemetrySnapshot {
   /// lives in the sibling "fleet" block instead.
   std::uint64_t workers = 0;          ///< workers that completed a handshake
   std::vector<WorkerTelemetry> per_worker;  ///< by connection id, ascending
+
+  /// pool_busy_ns / (wall_us * jobs): the share of the pool's capacity that
+  /// ran tasks since telemetry was armed (0 when no wall time has passed).
+  double pool_busy_share() const;
 
   /// Branch attempts per emulated-execution second (0 when nothing ran).
   double branches_per_sec() const;
@@ -49,10 +58,11 @@ struct TelemetrySnapshot {
   /// in-process run bumps directly).
   std::string to_json() const;
 
-  /// The fleet block: worker count, dist transport counters (including the
-  /// dist_* activity that used to hide inside the coordinator-only stats
-  /// block and now covers worker-side bytes too), and the per_worker[]
-  /// breakdown. Shape-dependent by construction, hence a separate block.
+  /// The fleet block: worker count, local pool jobs / busy time / busy
+  /// share, dist transport counters (including the dist_* activity that used
+  /// to hide inside the coordinator-only stats block and now covers
+  /// worker-side bytes too), and the per_worker[] breakdown. Shape- and
+  /// wall-clock-dependent by construction, hence a separate block.
   std::string fleet_json() const;
 };
 

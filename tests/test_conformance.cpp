@@ -10,6 +10,7 @@
 // trailer is stripped before decoding, exactly as the proxy does).
 #include <gtest/gtest.h>
 
+#include "search/algorithms.h"
 #include "search/executor.h"
 #include "systems/pbft/pbft_scenario.h"
 #include "systems/registry.h"
@@ -132,6 +133,25 @@ TEST_P(SystemConformance, BranchedExecutionMatchesOriginal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, SystemConformance,
+                         ::testing::ValuesIn(registered_names()),
+                         [](const auto& info) { return info.param; });
+
+// A branch reports what the guest did, never a platform artifact: with no
+// faults armed, the default weighted search of every registered system
+// quarantines nothing — whatever a lie makes an honest guest do is an
+// outcome.
+class DefaultSearch : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DefaultSearch, WeightedSearchQuarantinesNothingWithoutFaults) {
+  const search::SearchResult res =
+      search::weighted_greedy_search(scenario_for(GetParam()));
+  EXPECT_FALSE(res.attacks.empty());
+  EXPECT_EQ(res.cost.retries, 0u);
+  for (const search::FailedBranch& f : res.failed)
+    ADD_FAILURE() << "quarantined " << f.describe() << ": " << f.error;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSystems, DefaultSearch,
                          ::testing::ValuesIn(registered_names()),
                          [](const auto& info) { return info.param; });
 

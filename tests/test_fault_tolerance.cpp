@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "netem/emulator.h"
 #include "search/algorithms.h"
 #include "search/executor.h"
+#include "search/journal.h"
 #include "search/telemetry.h"
 #include "systems/pbft/pbft_scenario.h"
 
@@ -98,6 +100,30 @@ struct TimerServer final : vm::GuestNode {
   void save(serial::Writer&) const override {}
   void load(serial::Reader&) override {}
   std::string_view kind() const override { return "timer-server"; }
+};
+
+/// Server that answers the first Work whose count exceeds 500 at the node id
+/// the count names — an address outside the fleet, as a lied-about address
+/// field makes an honest guest do — and acks everything else normally.
+struct MisroutingServer final : vm::GuestNode {
+  bool misrouted = false;
+  void start(vm::GuestContext&) override {}
+  void on_message(vm::GuestContext& ctx, NodeId src, BytesView m) override {
+    wire::MessageReader r(m);
+    if (r.tag() != 1) return;
+    const std::uint64_t seq = r.u64();
+    const std::int32_t count = r.i32();
+    NodeId dst = src;
+    if (count > 500 && !misrouted) {
+      misrouted = true;
+      dst = static_cast<NodeId>(count);
+    }
+    ctx.send(dst, wire::MessageWriter(2).u64(seq).take());
+  }
+  void on_timer(vm::GuestContext&, std::uint64_t) override {}
+  void save(serial::Writer& w) const override { w.boolean(misrouted); }
+  void load(serial::Reader& r) override { misrouted = r.boolean(); }
+  std::string_view kind() const override { return "misrouting-server"; }
 };
 
 struct ToyClient final : vm::GuestNode {
@@ -458,6 +484,29 @@ TEST(FaultTolerance, NegativeTimerDelayIsAGuestCrashNotAQuarantine) {
   EXPECT_TRUE(exec.failed().empty());
 }
 
+TEST(FaultTolerance, UnroutableGuestSendIsADroppedPacketNotAQuarantine) {
+  Scenario sc = toy_scenario();
+  sc.factory = [](NodeId id) -> std::unique_ptr<vm::GuestNode> {
+    if (id == 0) return std::make_unique<ToyClient>();
+    return std::make_unique<MisroutingServer>();
+  };
+  set_default_jobs(1);
+  trace::ScopedTrace t;
+  BranchExecutor exec(sc);
+  const auto& points = exec.discover();
+
+  // count 1 + 1000: the server addresses node 1001 of a 2-node fleet once.
+  const proxy::MaliciousAction lie =
+      lie_on_count(proxy::LieStrategy::kAdd, 1000);
+  const auto r = exec.try_run_branch(points[0], &lie, 1);
+  set_default_jobs(0);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_EQ(r.outcome->new_crashes, 0u);
+  EXPECT_TRUE(exec.failed().empty());
+  EXPECT_EQ(trace::counters().unroutable_sends.load(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Acceptance: a full search under injected branch faults
 // ---------------------------------------------------------------------------
@@ -551,6 +600,99 @@ TEST(FaultAcceptance, BruteForceOnPbftSurvivesBranchFaults) {
         << "attack lost without a quarantine record: "
         << a.action.describe();
   }
+}
+
+// Two injection points with distinct snapshots: the primary's first Reply
+// and, a step later, its first Status.
+const wire::Schema& reply_status_schema() {
+  static const wire::Schema s = wire::parse_schema(R"(
+protocol pbft;
+message Reply = 5 {
+  u32   view;
+  u64   timestamp;
+  u32   client;
+  u32   replica;
+  bytes result;
+}
+message Status = 7 {
+  u32   view;
+  u32   replica;
+  u64   last_exec;
+  u64   stable_seq;
+  i32   n_pending;
+}
+)");
+  return s;
+}
+
+// A point whose baseline quarantines is unusable: weighted greedy must run
+// and charge none of its actions. Every baseline is submitted — its snapshot
+// decoded — before any later batch, so decode hits 2..4 fail the second
+// injection point's baseline three times over at any worker count.
+TEST(FaultAcceptance, QuarantinedBaselineRunsAndChargesNoneOfItsActions) {
+  Scenario sc = pbft_scenario();
+  sc.schema = &reply_status_schema();
+  sc.fault.max_retries = 2;
+  // The result, and the journal keys of every branch it ran.
+  const auto journaled_search = [&sc](std::vector<std::string>& keys) {
+    const std::string path = ::testing::TempDir() + "/quarantined_base.j";
+    SearchResult res;
+    {
+      auto journal = Journal::open(path, false);
+      res = weighted_greedy_search(sc, {}, nullptr, journal.get());
+    }
+    for (const Journal::RawEntry& e : Journal::read_all(path))
+      keys.push_back(e.key);
+    std::remove(path.c_str());
+    return res;
+  };
+  const auto at_point = [](const std::vector<std::string>& keys,
+                           const FailedBranch& f) {
+    const std::string prefix = "b|" + std::to_string(f.tag) + "|" +
+                               std::to_string(f.injection_time) + "|";
+    std::vector<std::string> out;
+    for (const std::string& k : keys)
+      if (k.rfind(prefix, 0) == 0) out.push_back(k);
+    return out;
+  };
+
+  set_default_jobs(1);
+  std::vector<std::string> clean_keys;
+  const SearchResult clean = journaled_search(clean_keys);
+  for (const unsigned jobs : {1u, 4u}) {
+    set_default_jobs(jobs);
+    std::vector<std::string> faulted_keys;
+    SearchResult faulted;
+    {
+      fault::ScopedFaults plan("snapshot-decode:hit:2x3");
+      faulted = journaled_search(faulted_keys);
+    }
+    ASSERT_EQ(faulted.failed.size(), 1u) << "jobs=" << jobs;
+    const FailedBranch& f = faulted.failed[0];
+    EXPECT_FALSE(f.had_action);
+    EXPECT_EQ(f.attempts, 3u);
+    EXPECT_NE(f.error.find("snapshot-decode"), std::string::npos) << f.error;
+
+    // The clean run branched at this point: baseline, actions, and (all
+    // first-attempt) classifications. The faulted run journaled the
+    // quarantined baseline alone and charged its three attempts instead.
+    const std::vector<std::string> clean_here = at_point(clean_keys, f);
+    ASSERT_GT(clean_here.size(), 1u);
+    const std::vector<std::string> faulted_here = at_point(faulted_keys, f);
+    ASSERT_EQ(faulted_here.size(), 1u) << "jobs=" << jobs;
+    EXPECT_EQ(faulted_here[0], clean_here[0]) << "the baseline key";
+    EXPECT_EQ(faulted.cost.branches,
+              clean.cost.branches - clean_here.size() + f.attempts)
+        << "jobs=" << jobs;
+    EXPECT_EQ(faulted.cost.retries, f.attempts - 1);
+    std::size_t clean_elsewhere = 0;
+    for (const AttackReport& a : clean.attacks)
+      clean_elsewhere += a.action.target_tag != f.tag;
+    EXPECT_EQ(faulted.attacks.size(), clean_elsewhere) << "jobs=" << jobs;
+    for (const AttackReport& a : faulted.attacks)
+      EXPECT_NE(a.action.target_tag, f.tag) << a.action.describe();
+  }
+  set_default_jobs(0);
 }
 
 TEST(FaultAcceptance, ParallelSearchUnderFaultsCompletes) {

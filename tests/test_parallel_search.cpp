@@ -5,9 +5,14 @@
 // on a real system scenario (PBFT), not the toy ticker.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "search/algorithms.h"
+#include "search/journal.h"
 #include "search/telemetry.h"
 #include "systems/pbft/pbft_scenario.h"
 
@@ -169,6 +174,54 @@ TEST(ParallelSearchDeterminism, StatsCountersMatchSearchCost) {
     EXPECT_GT(stats.counters.proxy_observed, 0u);
     EXPECT_GT(stats.branches_per_sec(), 0.0);
   }
+}
+
+// Weighted greedy pipelines its batches across injection points, so at 4
+// workers branches finish in an order unrelated to the search's; merges still
+// follow the serial order, which fixes the journal byte for byte.
+TEST(ParallelSearchDeterminism, WeightedGreedyJournalIsByteIdentical) {
+  const Scenario sc = pbft_scenario();
+  const auto journal_bytes = [&sc](unsigned jobs) {
+    const std::string path =
+        (std::filesystem::path(::testing::TempDir()) /
+         ("weighted_jobs" + std::to_string(jobs) + ".journal"))
+            .string();
+    set_default_jobs(jobs);
+    {
+      auto journal = Journal::open(path, false);
+      weighted_greedy_search(sc, {}, nullptr, journal.get());
+    }
+    set_default_jobs(0);
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    std::filesystem::remove(path);
+    return bytes;
+  };
+  const std::string serial = journal_bytes(1);
+  ASSERT_GT(serial.size(), 64u) << "the search journaled nothing";
+  EXPECT_TRUE(journal_bytes(4) == serial)
+      << "--jobs 1 and --jobs 4 journals differ";
+}
+
+// Pool busy time is wall-clock: it belongs to the fleet block, never to the
+// byte-identical stats block.
+TEST(PoolTelemetry, BusyShareIsAFleetFactNotAStat) {
+  const Scenario sc = pbft_scenario();
+  set_default_jobs(2);
+  trace::ScopedTrace t(trace::Clock::kVirtual);
+  weighted_greedy_search(sc);
+  const TelemetrySnapshot stats = capture_telemetry();
+  set_default_jobs(0);
+  EXPECT_EQ(stats.jobs, 2u);
+  EXPECT_GT(stats.pool_busy_ns, 0);
+  EXPECT_GT(stats.pool_busy_share(), 0.0);
+  EXPECT_LE(stats.pool_busy_share(), 1.0);
+  EXPECT_EQ(stats.to_json().find("pool_busy"), std::string::npos);
+  const std::string fleet = stats.fleet_json();
+  EXPECT_NE(fleet.find("\"jobs\":2,\"pool_busy_s\":"), std::string::npos)
+      << fleet;
+  EXPECT_NE(fleet.find("\"pool_busy_share\":"), std::string::npos) << fleet;
 }
 
 TEST(ParallelSearchDeterminism, WeightedGreedyLearnsTheSameWeights) {

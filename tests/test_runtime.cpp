@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/trace.h"
 #include "runtime/metrics.h"
 #include "runtime/testbed.h"
 
@@ -306,6 +307,32 @@ TEST(Testbed, NegativeTimerDelayIsAGuestCrash) {
             std::string::npos)
       << tb.machine(0).crash_reason();
   EXPECT_EQ(tb.emulator().pending_events(), 0u);
+}
+
+TEST(Testbed, UnroutableSendIsADroppedPacket) {
+  struct Misaddressed : Worker {
+    void start(vm::GuestContext& ctx) override { ctx.send(7, to_bytes("p")); }
+  };
+  TestbedConfig cfg = two_nodes();
+  cfg.net.capture.enabled = true;
+  trace::ScopedTrace t;
+  Testbed tb(cfg, [](NodeId id) -> std::unique_ptr<vm::GuestNode> {
+    if (id == 0) return std::make_unique<Misaddressed>();
+    return std::make_unique<Worker>();
+  });
+  tb.start();  // neither a platform bug nor a guest crash
+  tb.run_for(100 * kMillisecond);
+  EXPECT_TRUE(tb.crashed_nodes().empty());
+  EXPECT_EQ(trace::counters().unroutable_sends.load(), 1u);
+  EXPECT_EQ(tb.emulator().stats().messages_sent, 0u)
+      << "the packet never reached the network";
+  const auto records = tb.emulator().recorder()->records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].disposition, netem::PacketDisposition::kUnroutable);
+  EXPECT_EQ(records[0].src, 0u);
+  EXPECT_EQ(records[0].dst, 7u);
+  EXPECT_EQ(records[0].head, to_bytes("p"));
+  EXPECT_EQ(netem::disposition_name(records[0].disposition), "unroutable");
 }
 
 TEST(Testbed, GuestFaultBecomesCrashNotAbort) {

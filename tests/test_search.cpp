@@ -2,6 +2,7 @@
 // damage computation, and the three algorithms on a fast synthetic system.
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "search/algorithms.h"
 #include "search/executor.h"
 
@@ -151,6 +152,58 @@ TEST(Executor, CostAccountingAddsUp) {
   EXPECT_EQ(exec.cost().loads, 1u);
   EXPECT_EQ(exec.cost().branches, 1u);
   EXPECT_GT(exec.cost().total(), exec.cost().execution);
+}
+
+// Batches queued from more distinct snapshots than the decode cache keeps
+// (it drops every entry once it holds 32) and merged only afterwards: each
+// queued branch holds its own reference to its decoded snapshot, so nothing
+// it reads is freed (ASan), and the results equal serial run_branches.
+TEST(Executor, QueuedBatchesOutliveTheDecodeCacheEntriesTheyUse) {
+  const Scenario sc = toy_scenario();
+  BranchExecutor exec(sc);
+  const auto& points = exec.discover();
+  ASSERT_FALSE(points.empty());
+  std::vector<BranchExecutor::InjectionPoint> chain{points[0]};
+  while (chain.size() < 40) {  // a continuation chain: a fresh blob per step
+    chain.push_back(
+        exec.continue_branch(chain.back(), nullptr, 10 * kMillisecond));
+  }
+  proxy::MaliciousAction drop;
+  drop.target_tag = 1;
+  drop.message_name = "Work";
+  drop.kind = proxy::ActionKind::kDrop;
+
+  set_default_jobs(4);
+  std::vector<BranchExecutor::PendingBatch> batches;
+  for (const auto& ip : chain)
+    batches.push_back(exec.submit_branches(ip, {nullptr, &drop}, 1));
+  const Duration cost_before = exec.cost().total();
+  {
+    // An unmerged batch waits for its branches when dropped and charges
+    // nothing.
+    BranchExecutor::PendingBatch dropped =
+        exec.submit_branches(chain[0], {&drop}, 2);
+  }
+  EXPECT_EQ(exec.cost().total(), cost_before);
+  std::vector<std::vector<BranchExecutor::BranchResult>> pipelined;
+  for (auto& b : batches) pipelined.push_back(exec.merge_branches(b));
+  set_default_jobs(1);
+
+  BranchExecutor serial(sc);
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    const auto ref = serial.run_branches(chain[i], {nullptr, &drop}, 1);
+    ASSERT_EQ(pipelined[i].size(), ref.size());
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      ASSERT_TRUE(pipelined[i][k].ok()) << pipelined[i][k].error;
+      EXPECT_EQ(pipelined[i][k].outcome->windows[0].value,
+                ref[k].outcome->windows[0].value)
+          << "step " << i << " branch " << k;
+      EXPECT_EQ(pipelined[i][k].outcome->windows[0].samples,
+                ref[k].outcome->windows[0].samples);
+    }
+  }
+  set_default_jobs(0);
+  EXPECT_TRUE(exec.failed().empty());
 }
 
 TEST(WeightedGreedy, FindsDeliveryAndCrashAttacks) {
