@@ -310,10 +310,15 @@ std::string Tracer::chrome_json() const {
     append_event_json(out, e);
   }
   // Final counter values as 'C' samples, in a fixed order so the tail of the
-  // file is as deterministic as the span list above it.
+  // file is as deterministic as the span list above it. The distributed
+  // transport's counters (heartbeats, frame bytes, unit flow) depend on
+  // timing and fleet shape, so a virtual-clock trace leaves them out — the
+  // same split that keeps them in the `fleet` block, out of `stats`.
+  const bool virtual_clock = clock() == Clock::kVirtual;
   const struct {
     const char* name;
     std::uint64_t value;
+    bool transport = false;
   } counters[] = {
       {"branch_attempts", c.branch_attempts},
       {"branch_retries", c.branch_retries},
@@ -337,14 +342,14 @@ std::string Tracer::chrome_json() const {
       {"pagestore_evicted", c.pagestore_evicted},
       {"hash_collisions", c.hash_collisions},
       {"hash_chain_max", c.hash_chain_max},
-      {"dist_units_sent", c.dist_units_sent},
-      {"dist_units_merged", c.dist_units_merged},
-      {"dist_reassignments", c.dist_reassignments},
-      {"dist_worker_deaths", c.dist_worker_deaths},
-      {"dist_heartbeats", c.dist_heartbeats},
-      {"dist_local_fallbacks", c.dist_local_fallbacks},
-      {"dist_bytes_sent", c.dist_bytes_sent},
-      {"dist_bytes_recv", c.dist_bytes_recv},
+      {"dist_units_sent", c.dist_units_sent, true},
+      {"dist_units_merged", c.dist_units_merged, true},
+      {"dist_reassignments", c.dist_reassignments, true},
+      {"dist_worker_deaths", c.dist_worker_deaths, true},
+      {"dist_heartbeats", c.dist_heartbeats, true},
+      {"dist_local_fallbacks", c.dist_local_fallbacks, true},
+      {"dist_bytes_sent", c.dist_bytes_sent, true},
+      {"dist_bytes_recv", c.dist_bytes_recv, true},
       {"discover_ns", c.discover_ns},
       {"evaluate_ns", c.evaluate_ns},
       {"classify_ns", c.classify_ns},
@@ -352,6 +357,7 @@ std::string Tracer::chrome_json() const {
       {"dropped_events", c.dropped_events},
   };
   for (const auto& entry : counters) {
+    if (virtual_clock && entry.transport) continue;
     if (!first) out += ",\n";
     first = false;
     append_counter_json(out, entry.name, entry.value);

@@ -92,8 +92,11 @@ Bytes Emulator::snap_head(BytesView payload) const {
 
 EventQueue::Node* Emulator::push_event(Time at, EventKind kind, NodeId node,
                                       std::uint64_t a, std::uint64_t b,
-                                      Packet packet) {
-  Event e;
+                                      Packet&& packet) {
+  // Built in place in its pool node: the event (and its payload handle) is
+  // written once, never moved through a temporary.
+  EventQueue::Node* n = queue_.acquire();
+  Event& e = n->ev;
   e.at = at;
   e.seq = next_seq_++;
   e.kind = kind;
@@ -101,7 +104,8 @@ EventQueue::Node* Emulator::push_event(Time at, EventKind kind, NodeId node,
   e.a = a;
   e.b = b;
   e.packet = std::move(packet);
-  return queue_.push(std::move(e));
+  queue_.link(n);
+  return n;
 }
 
 void Emulator::send_message(NodeId src, NodeId dst, MessageBuf message) {
@@ -191,9 +195,13 @@ void Emulator::transmit(NodeId src, NodeId dst, MessageBuf message) {
     p.frag_index = i;
     p.frag_count = frag_count;
     p.msg_bytes = static_cast<std::uint32_t>(total);
-    const std::size_t off = static_cast<std::size_t>(i) * mtu;
-    const std::size_t len = std::min(mtu, total - off);
-    p.payload = message.view(off, len);  // zero-copy MTU slice
+    if (frag_count == 1) {
+      p.payload = std::move(message);  // the whole message: hand it over
+    } else {
+      const std::size_t off = static_cast<std::size_t>(i) * mtu;
+      const std::size_t len = std::min(mtu, total - off);
+      p.payload = message.view(off, len);  // zero-copy MTU slice
+    }
 
     // Bandwidth serialization at the sender NIC, then propagation.
     const double bits = static_cast<double>(p.wire_size()) * 8.0;
@@ -281,7 +289,14 @@ bool Emulator::step() {
         "emulator event budget exceeded: " + std::to_string(event_budget_) +
         " events processed at " + format_time(now_));
   }
-  Event ev = queue_.pop();
+  // Dispatch straight from the popped node; the guard returns it to the pool
+  // however dispatch ends, a throwing handler included.
+  struct Release {
+    EventQueue& queue;
+    EventQueue::Node* node;
+    ~Release() { queue.release(node); }
+  } release{queue_, queue_.pop_node()};
+  Event& ev = release.node->ev;
   if (ev.kind == EventKind::kTimer) take_timer(ev.node, ev.a);
   TURRET_CHECK_MSG(ev.at >= now_, "event scheduled in the past");
   now_ = ev.at;
@@ -297,7 +312,7 @@ void Emulator::run_until(Time t) {
   if (!frozen_ && now_ < t) now_ = t;
 }
 
-void Emulator::dispatch(const Event& ev) {
+void Emulator::dispatch(Event& ev) {
   fault::inject(fault::kEmuDispatch);
   if (trace::active())
     trace::counters().emu_events.fetch_add(1, std::memory_order_relaxed);
@@ -309,9 +324,10 @@ void Emulator::dispatch(const Event& ev) {
       if (ev.a == 1 && proxy_ != nullptr) {
         // A held-for-reinterception message: run it through the (possibly
         // re-armed) proxy as if it were being sent now.
-        send_message(ev.packet.src, ev.packet.dst, ev.packet.payload);
+        send_message(ev.packet.src, ev.packet.dst,
+                     std::move(ev.packet.payload));
       } else {
-        transmit(ev.packet.src, ev.packet.dst, ev.packet.payload);
+        transmit(ev.packet.src, ev.packet.dst, std::move(ev.packet.payload));
       }
       break;
     case EventKind::kReassemblyExpire:
@@ -352,7 +368,7 @@ MessageBuf Emulator::reassemble(const Reassembly& re) const {
   return MessageBuf(std::move(data));
 }
 
-void Emulator::deliver_packet(const Packet& p) {
+void Emulator::deliver_packet(Packet& p) {
   NetDevice& dev = *devices_[p.dst];
   const Duration dev_latency = dev.receive(p);
   if (recorder_ != nullptr) {
@@ -373,7 +389,7 @@ void Emulator::deliver_packet(const Packet& p) {
 
   if (p.frag_count == 1) {
     ++stats_.messages_delivered;
-    if (sink_ != nullptr) sink_->on_message(p.dst, p.src, p.payload);
+    if (sink_ != nullptr) sink_->on_message(p.dst, p.src, std::move(p.payload));
     return;
   }
 
@@ -385,7 +401,7 @@ void Emulator::deliver_packet(const Packet& p) {
   }
   if (re.have[p.frag_index]) return;  // duplicate fragment
   re.have[p.frag_index] = true;
-  re.frags[p.frag_index] = p.payload;  // keep the view; no copy
+  re.frags[p.frag_index] = std::move(p.payload);  // keep the view; no copy
   ++re.received;
   if (re.received == p.frag_count) {
     MessageBuf whole = reassemble(re);

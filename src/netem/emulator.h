@@ -53,7 +53,8 @@ class MessageSink {
 
   /// A message has arrived at `dst` (already through the net device). The
   /// MessageBuf is a zero-copy view of the sender's buffer for untampered
-  /// traffic; take a refcount (cheap) rather than copying bytes.
+  /// traffic, handed over by move; keep it (or a view) rather than copying
+  /// bytes.
   virtual void on_message(NodeId dst, NodeId src, MessageBuf message) = 0;
 
   /// A kTimer / kHandlerDone / kControl event fired.
@@ -184,6 +185,9 @@ class Emulator {
   /// Time of the next pending event, or -1 if the queue is empty.
   Time next_event_time() const { return queue_.peek_time(); }
   std::size_t pending_events() const { return queue_.size(); }
+  /// Event-queue pool nodes in use; equals pending_events() between steps
+  /// (leak checks in tests).
+  std::size_t live_event_nodes() const { return queue_.live_nodes(); }
 
   /// Abort guard: after `n` more processed events, step() throws
   /// BudgetExceededError. 0 (the default) disarms. Controller-side state:
@@ -248,14 +252,16 @@ class Emulator {
 
   EventQueue::Node* push_event(Time at, EventKind kind, NodeId node,
                                std::uint64_t a, std::uint64_t b,
-                               Packet packet = {});
+                               Packet&& packet = {});
   /// Unlink timer `id` of `node` from timers_ and return its queue entry,
   /// or nullptr when not armed. Guests arm a handful of timer ids each, so a
   /// linear scan wins.
   EventQueue::Node* take_timer(NodeId node, std::uint64_t id);
   void transmit(NodeId src, NodeId dst, MessageBuf message);
-  void dispatch(const Event& ev);
-  void deliver_packet(const Packet& p);
+  /// Both consume the event's payload: it moves on to the sink or the send
+  /// path instead of being copied (the event is released right after).
+  void dispatch(Event& ev);
+  void deliver_packet(Packet& p);
   /// The completed message: a zero-copy rejoin of the shared parent buffer
   /// when possible, one materializing copy otherwise.
   MessageBuf reassemble(const Reassembly& re) const;

@@ -51,20 +51,29 @@ void EventQueue::remove_at(std::size_t i) {
 }
 
 EventQueue::Node* EventQueue::push(Event ev) {
-  Node* n = pool_.acquire();
+  Node* n = acquire();
   n->ev = std::move(ev);
-  heap_.emplace_back();
-  sift_up(heap_.size() - 1, Key{n->ev.at, n->ev.seq, n});
+  link(n);
   return n;
 }
 
+void EventQueue::link(Node* n) {
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Key{n->ev.at, n->ev.seq, n});
+}
+
 Event EventQueue::pop() {
+  Node* n = pop_node();
+  Event ev = std::move(n->ev);
+  release(n);
+  return ev;
+}
+
+EventQueue::Node* EventQueue::pop_node() {
   TURRET_CHECK_MSG(!heap_.empty(), "pop from an empty event queue");
   Node* n = heap_.front().node;
   remove_at(0);
-  Event ev = std::move(n->ev);
-  pool_.release(n);
-  return ev;
+  return n;
 }
 
 void EventQueue::erase(Node* n) {

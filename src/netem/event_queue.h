@@ -42,8 +42,19 @@ class EventQueue {
 
   Node* push(Event ev);
 
+  /// Build-in-place push: acquire() a blank node, fill its event, then link()
+  /// it into the heap under the event's (at, seq). No Event is moved.
+  Node* acquire() { return pool_.acquire(); }
+  void link(Node* n);
+
   /// Remove and return the (at, seq)-minimal event. Precondition: !empty().
   Event pop();
+
+  /// Unlink the (at, seq)-minimal node without releasing it: the caller
+  /// dispatches straight from `n->ev` and must release(n) afterwards (a
+  /// scope guard, so a throwing handler leaks nothing). Precondition: !empty().
+  Node* pop_node();
+  void release(Node* n) { pool_.release(n); }
 
   /// Remove a pending event without firing it.
   void erase(Node* n);
@@ -55,6 +66,9 @@ class EventQueue {
   Time peek_time() const { return heap_.empty() ? -1 : heap_.front().at; }
 
   std::size_t size() const { return heap_.size(); }
+  /// Nodes acquired and not yet released: size() plus any node a caller
+  /// holds between pop_node() and release() (leak checks in tests).
+  std::size_t live_nodes() const { return pool_.live(); }
   bool empty() const { return heap_.empty(); }
 
   void clear();

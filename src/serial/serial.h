@@ -17,6 +17,7 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -32,6 +33,9 @@ class SerialError : public std::runtime_error {
 class Writer {
  public:
   Writer() = default;
+  /// Append into `buf`, whose capacity is adopted (its contents are cleared):
+  /// an encoder handed a recycled buffer reallocates only past that capacity.
+  explicit Writer(Bytes buf) : buf_(std::move(buf)) { buf_.clear(); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { raw(&v, sizeof v); }

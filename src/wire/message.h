@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/msgbuf.h"
 #include "serial/serial.h"
 #include "wire/schema.h"
 
@@ -76,9 +77,12 @@ DecodedMessage decode(const Schema& schema, BytesView wire);
 Bytes encode(const DecodedMessage& msg);
 
 /// Streaming encoder for guest codecs. Produces schema-compatible wire bytes.
+/// Starts from a recycled buffer (MessageBuf::spare) with room for a typical
+/// message, so an encode whose bytes were handed to the network usually
+/// reallocates nothing.
 class MessageWriter {
  public:
-  explicit MessageWriter(TypeTag tag) { w_.u16(tag); }
+  explicit MessageWriter(TypeTag tag) : w_(MessageBuf::spare()) { w_.u16(tag); }
 
   MessageWriter& b(bool v) { w_.boolean(v); return *this; }
   MessageWriter& i8(std::int8_t v) { w_.i8(v); return *this; }

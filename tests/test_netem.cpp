@@ -2,7 +2,10 @@
 // devices, loss, freeze/resume, save/load.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "netem/emulator.h"
+#include "wire/message.h"
 
 namespace turret::netem {
 namespace {
@@ -266,6 +269,81 @@ TEST(Emulator, LoadRejectsMismatchedTopology) {
   Emulator b(lan(3));
   serial::Reader r(w.data());
   EXPECT_THROW(b.load(r), std::logic_error);
+}
+
+// --- Message buffer lifecycle through the emulator.
+
+TEST(Emulator, SingleFragmentMessageReachesSinkAsTheSendersOnlyView) {
+  struct Probe : MessageSink {
+    const std::uint8_t* data = nullptr;
+    long use_count = -1;
+    void on_message(NodeId, NodeId, MessageBuf m) override {
+      data = m.data();
+      use_count = m.use_count();
+    }
+    void on_event(const Event&) override {}
+  } probe;
+  Emulator emu(lan(2));
+  emu.set_sink(&probe);
+  Bytes msg(300, 7);
+  const std::uint8_t* storage = msg.data();
+  emu.send_message(0, 1, std::move(msg));
+  emu.run_for(kSecond);
+  // Moved from the send into the packet and from the packet to the sink: the
+  // sink holds the sender's buffer and the only reference to it.
+  EXPECT_EQ(probe.data, storage);
+  EXPECT_EQ(probe.use_count, 1);
+}
+
+TEST(Emulator, PingPongHopsTakeNoFreshBufferBlockAfterWarmUp) {
+  // Two nodes bounce a guest-encoded message back and forth, one small and
+  // one fragmented (3 packets), as a guest would: decode, re-encode, send.
+  struct PingPong : MessageSink {
+    Emulator* emu = nullptr;
+    std::uint64_t hops = 0;
+    void on_message(NodeId dst, NodeId src, MessageBuf m) override {
+      wire::MessageReader r(m);
+      const Bytes body = r.bytes();
+      ++hops;
+      emu->send_message(dst, src,
+                        wire::MessageWriter(r.tag()).bytes(body).take());
+    }
+    void on_event(const Event&) override {}
+  } sink;
+  Emulator emu(lan(2));
+  sink.emu = &emu;
+  emu.set_sink(&sink);
+  emu.send_message(0, 1, wire::MessageWriter(1).bytes(Bytes(40, 1)).take());
+  emu.send_message(1, 0, wire::MessageWriter(2).bytes(Bytes(4000, 2)).take());
+  while (sink.hops < 100) ASSERT_TRUE(emu.step());
+  const MessageBuf::ThreadStats warm = MessageBuf::thread_stats();
+  while (sink.hops < 2100) ASSERT_TRUE(emu.step());
+  EXPECT_EQ(MessageBuf::thread_stats().fresh_blocks, warm.fresh_blocks);
+  EXPECT_EQ(emu.stats().messages_delivered, sink.hops);
+}
+
+TEST(Emulator, ThrowingSinkLeaksNoQueueNode) {
+  struct Thrower : MessageSink {
+    void on_message(NodeId, NodeId, MessageBuf) override {
+      throw std::runtime_error("sink failed on a message");
+    }
+    void on_event(const Event&) override {
+      throw std::runtime_error("sink failed on an event");
+    }
+  } sink;
+  Emulator emu(lan(2));
+  emu.set_sink(&sink);
+  emu.send_message(0, 1, to_bytes("boom"));
+  emu.set_timer(1, 9, kSecond);
+  ASSERT_EQ(emu.live_event_nodes(), 2u);
+  // Each step consumes exactly its own event, and that event's node goes
+  // back to the pool although dispatch threw.
+  EXPECT_THROW(emu.step(), std::runtime_error);
+  EXPECT_EQ(emu.live_event_nodes(), 1u);
+  EXPECT_EQ(emu.pending_events(), 1u);
+  EXPECT_THROW(emu.step(), std::runtime_error);
+  EXPECT_EQ(emu.live_event_nodes(), 0u);
+  EXPECT_EQ(emu.pending_events(), 0u);
 }
 
 TEST(Interceptor, SeesOnlyConfiguredTraffic) {

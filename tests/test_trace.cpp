@@ -150,6 +150,34 @@ TEST(Trace, ChromeJsonCarriesCounterSamples) {
             std::string::npos);
 }
 
+TEST(Trace, VirtualTraceLeavesTransportCountersOut) {
+  const char* transport[] = {
+      "dist_units_sent",    "dist_units_merged", "dist_reassignments",
+      "dist_worker_deaths", "dist_heartbeats",   "dist_local_fallbacks",
+      "dist_bytes_sent",    "dist_bytes_recv"};
+  // Same spans and core counters; only the timing-dependent transport
+  // counters differ (heartbeats and frame bytes vary run to run).
+  const auto trace_with = [](Clock clock, std::uint64_t heartbeats) {
+    ScopedTrace t(clock);
+    trace::instant("test", "e", kSecond);
+    trace::counters().decode_hits.fetch_add(3, std::memory_order_relaxed);
+    trace::counters().dist_heartbeats.fetch_add(heartbeats,
+                                                std::memory_order_relaxed);
+    trace::counters().dist_bytes_sent.fetch_add(heartbeats * 64,
+                                                std::memory_order_relaxed);
+    return Tracer::instance().chrome_json();
+  };
+  const std::string virt = trace_with(Clock::kVirtual, 76);
+  EXPECT_EQ(virt, trace_with(Clock::kVirtual, 90));
+  EXPECT_NE(virt.find("\"decode_hits\""), std::string::npos);
+  const std::string wall = trace_with(Clock::kWall, 76);
+  for (const char* name : transport) {
+    const std::string key = std::string("\"") + name + "\"";
+    EXPECT_EQ(virt.find(key), std::string::npos) << name;
+    EXPECT_NE(wall.find(key), std::string::npos) << name;
+  }
+}
+
 TEST(Telemetry, DerivedRates) {
   search::TelemetrySnapshot t;
   EXPECT_EQ(t.branches_per_sec(), 0.0);
