@@ -33,6 +33,19 @@ class Testbed::Ctx final : public vm::GuestContext {
     tb_.emu_.send_message(m_.id(), dst, std::move(message));
   }
 
+  void multicast(std::span<const NodeId> dsts, Bytes message) override {
+    // One buffer for every destination: each routed copy is a refcount
+    // bump, and the encode's capacity is recycled when the last view dies.
+    const MessageBuf buf(std::move(message));
+    for (const NodeId dst : dsts) {
+      if (dst >= tb_.nodes()) {
+        tb_.drop_unroutable(m_.id(), dst, buf);
+        continue;
+      }
+      tb_.emu_.send_message(m_.id(), dst, buf);
+    }
+  }
+
   void set_timer(std::uint64_t timer_id, Duration delay) override {
     // A timer in the past is the guest's bug, not the platform's.
     if (delay < 0)

@@ -4,6 +4,7 @@
 
 #include "common/hash.h"
 #include "systems/replication/crypto.h"
+#include "systems/replication/fanout.h"
 #include "systems/replication/faults.h"
 
 namespace turret::systems::aardvark {
@@ -38,15 +39,6 @@ bool AardvarkReplica::flood_check(vm::GuestContext& ctx, NodeId src) {
   return true;
 }
 
-void AardvarkReplica::broadcast(vm::GuestContext& ctx, const Bytes& msg) {
-  charge_sign(ctx, cfg_.base);
-  for (NodeId r = 0; r < cfg_.base.n; ++r) {
-    if (r == ctx.self()) continue;
-    charge_mac(ctx, cfg_.base);
-    ctx.send(r, msg);
-  }
-}
-
 void AardvarkReplica::start(vm::GuestContext& ctx) {
   ctx.set_timer(kStatusTimer,
                 cfg_.base.status_period + ctx.self() * 7 * kMillisecond);
@@ -64,7 +56,7 @@ void AardvarkReplica::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
                           ? last_exec_ - cfg_.base.checkpoint_interval
                           : 0;
       st.n_pending = static_cast<std::int32_t>(pending_.size());
-      broadcast(ctx, st.encode());
+      broadcast(ctx, cfg_.base, st.encode());
       ctx.set_timer(kStatusTimer, cfg_.base.status_period);
       break;
     }
@@ -100,7 +92,7 @@ void AardvarkReplica::demand_view_change(vm::GuestContext& ctx) {
   vc.n_prepared = 0;
   vc.proof = Bytes(32, 0xaa);
   vc_votes_[vc.new_view].insert(ctx.self());
-  broadcast(ctx, vc.encode());
+  broadcast(ctx, cfg_.base, vc.encode());
 }
 
 void AardvarkReplica::on_message(vm::GuestContext& ctx, NodeId src,
@@ -159,7 +151,7 @@ void AardvarkReplica::propose(vm::GuestContext& ctx, std::uint32_t client,
   pp.n_nondet_choices = 0;
   pp.digest = e.digest;
   pp.payload = request_bytes;
-  broadcast(ctx, pp.encode());
+  broadcast(ctx, cfg_.base, pp.encode());
 }
 
 void AardvarkReplica::handle_pre_prepare(vm::GuestContext& ctx, NodeId src,
@@ -201,7 +193,7 @@ void AardvarkReplica::handle_pre_prepare(vm::GuestContext& ctx, NodeId src,
     p.seq = pp.seq;
     p.replica = ctx.self();
     p.digest = e.digest;
-    broadcast(ctx, p.encode());
+    broadcast(ctx, cfg_.base, p.encode());
   }
   maybe_send_commit(ctx, pp.seq);
 }
@@ -228,7 +220,7 @@ void AardvarkReplica::maybe_send_commit(vm::GuestContext& ctx,
   c.seq = seq;
   c.replica = ctx.self();
   c.digest = e.digest;
-  broadcast(ctx, c.encode());
+  broadcast(ctx, cfg_.base, c.encode());
   try_execute(ctx);
 }
 
@@ -341,7 +333,7 @@ void AardvarkReplica::handle_view_change(vm::GuestContext& ctx, NodeId src,
     nv.primary = ctx.self();
     nv.n_view_changes = static_cast<std::int32_t>(votes.size());
     nv.proof = Bytes(32, 0xab);
-    broadcast(ctx, nv.encode());
+    broadcast(ctx, cfg_.base, nv.encode());
     enter_view(ctx, vc.new_view);
   }
 }

@@ -81,7 +81,6 @@ class AardvarkReplica final : public vm::GuestNode {
     return view % cfg_.base.n;
   }
   bool flood_check(vm::GuestContext& ctx, NodeId src);
-  void broadcast(vm::GuestContext& ctx, const Bytes& msg);
   void propose(vm::GuestContext& ctx, std::uint32_t client,
                std::uint64_t timestamp, const Bytes& payload);
   void maybe_send_commit(vm::GuestContext& ctx, std::uint64_t seq);

@@ -1,5 +1,6 @@
 #include "systems/hotstuff/hotstuff_client.h"
 
+#include "systems/replication/fanout.h"
 #include "systems/replication/signing.h"
 
 namespace turret::systems::hotstuff {
@@ -11,8 +12,8 @@ void HotstuffClient::send_request(vm::GuestContext& ctx) {
   req.client = ctx.self();
   req.timestamp = timestamp_;
   req.payload = Bytes(cfg_.payload_size, static_cast<std::uint8_t>(timestamp_));
-  const Bytes sealed = seal_message(adapter_, ctx, cfg_, req.encode());
-  for (NodeId r = 0; r < cfg_.n; ++r) ctx.send(r, sealed);
+  send_to_replicas(ctx, 0, cfg_.n,
+                   seal_message(adapter_, ctx, cfg_, req.encode()));
   sent_at_ = ctx.now();
   ctx.set_timer(kRetryTimer, cfg_.client_timeout);
 }

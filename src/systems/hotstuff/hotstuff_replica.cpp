@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/hash.h"
+#include "systems/replication/fanout.h"
 #include "systems/replication/signing.h"
 
 namespace turret::systems::hotstuff {
@@ -98,11 +99,8 @@ void HotstuffReplica::propose(vm::GuestContext& ctx, std::uint32_t view) {
   p.client = b.client;
   p.payload = b.payload;
 
-  const Bytes inner = p.encode();
-  const Bytes sealed = seal_message(adapter_, ctx, cfg_, inner);
-  for (NodeId r = 0; r < cfg_.n; ++r) {
-    if (r != ctx.self()) ctx.send(r, sealed);
-  }
+  send_to_replicas(ctx, 0, cfg_.n,
+                   seal_message(adapter_, ctx, cfg_, p.encode()));
   process_proposal(ctx, p);  // the leader's own copy skips the network
 }
 

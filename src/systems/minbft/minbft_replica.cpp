@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/hash.h"
+#include "systems/replication/fanout.h"
 #include "systems/replication/signing.h"
 
 namespace turret::systems::minbft {
@@ -99,10 +100,8 @@ void MinbftReplica::prepare_pending(vm::GuestContext& ctx) {
     p.client = client;
     p.payload = payload;
 
-    const Bytes sealed = seal_message(adapter_, ctx, cfg_, p.encode());
-    for (NodeId r = 0; r < cfg_.n; ++r) {
-      if (r != ctx.self()) ctx.send(r, sealed);
-    }
+    send_to_replicas(ctx, 0, cfg_.n,
+                     seal_message(adapter_, ctx, cfg_, p.encode()));
     process_prepare(ctx, p);  // the primary's own copy skips the network
     it = pending_.erase(it);
   }
@@ -133,10 +132,8 @@ void MinbftReplica::process_prepare(vm::GuestContext& ctx, const Prepare& p) {
     c.ui_counter = next_ui();
     c.prepare_ui = p.ui_counter;
     c.replica = ctx.self();
-    const Bytes sealed = seal_message(adapter_, ctx, cfg_, c.encode());
-    for (NodeId r = 0; r < cfg_.n; ++r) {
-      if (r != ctx.self()) ctx.send(r, sealed);
-    }
+    send_to_replicas(ctx, 0, cfg_.n,
+                     seal_message(adapter_, ctx, cfg_, c.encode()));
     e.committers.insert(ctx.self());
   }
   try_execute(ctx);
@@ -188,10 +185,8 @@ void MinbftReplica::maybe_checkpoint(vm::GuestContext& ctx) {
   cp.seq = exec_seq_;
   cp.replica = ctx.self();
   cp.state_digest = state_digest_for(exec_seq_);
-  const Bytes sealed = seal_message(adapter_, ctx, cfg_, cp.encode());
-  for (NodeId r = 0; r < cfg_.n; ++r) {
-    if (r != ctx.self()) ctx.send(r, sealed);
-  }
+  send_to_replicas(ctx, 0, cfg_.n,
+                   seal_message(adapter_, ctx, cfg_, cp.encode()));
   process_checkpoint(cp);
 }
 
@@ -221,10 +216,8 @@ void MinbftReplica::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
   ReqViewChange rv;
   rv.new_view = view_ + 1;
   rv.replica = ctx.self();
-  const Bytes sealed = seal_message(adapter_, ctx, cfg_, rv.encode());
-  for (NodeId r = 0; r < cfg_.n; ++r) {
-    if (r != ctx.self()) ctx.send(r, sealed);
-  }
+  send_to_replicas(ctx, 0, cfg_.n,
+                   seal_message(adapter_, ctx, cfg_, rv.encode()));
   process_req_view_change(ctx, rv);
   ctx.set_timer(kProgressTimer, cfg_.progress_timeout);
 }
@@ -244,10 +237,8 @@ void MinbftReplica::process_req_view_change(vm::GuestContext& ctx,
   nv.view = rv.new_view;
   nv.primary = ctx.self();
   nv.max_seq = std::max(next_seq_, log_.empty() ? 0 : log_.rbegin()->first);
-  const Bytes sealed = seal_message(adapter_, ctx, cfg_, nv.encode());
-  for (NodeId r = 0; r < cfg_.n; ++r) {
-    if (r != ctx.self()) ctx.send(r, sealed);
-  }
+  send_to_replicas(ctx, 0, cfg_.n,
+                   seal_message(adapter_, ctx, cfg_, nv.encode()));
   process_new_view(ctx, nv);
 }
 

@@ -1,6 +1,7 @@
 #include "systems/pbft/pbft_client.h"
 
 #include "systems/replication/crypto.h"
+#include "systems/replication/fanout.h"
 
 namespace turret::systems::pbft {
 
@@ -13,12 +14,12 @@ void PbftClient::send_request(vm::GuestContext& ctx, bool broadcast) {
   req.client = ctx.self();
   req.timestamp = timestamp_;
   req.payload = Bytes(cfg_.payload_size, static_cast<std::uint8_t>(timestamp_));
-  const Bytes bytes = req.encode();
+  Bytes bytes = req.encode();
   charge_sign(ctx, cfg_);
   if (broadcast) {
-    for (NodeId r = 0; r < cfg_.n; ++r) ctx.send(r, bytes);
+    send_to_replicas(ctx, 0, cfg_.n, std::move(bytes));
   } else {
-    ctx.send(primary_, bytes);
+    ctx.send(primary_, std::move(bytes));
     sent_at_ = ctx.now();
   }
   ctx.set_timer(kRetryTimer, cfg_.client_timeout);

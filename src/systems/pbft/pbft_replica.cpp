@@ -4,6 +4,7 @@
 
 #include "common/hash.h"
 #include "systems/replication/crypto.h"
+#include "systems/replication/fanout.h"
 #include "systems/replication/faults.h"
 
 namespace turret::systems::pbft {
@@ -67,15 +68,6 @@ std::uint32_t PbftReplica::primary_of(std::uint32_t view) const {
   return view % cfg_.n;
 }
 
-void PbftReplica::broadcast(vm::GuestContext& ctx, const Bytes& msg) {
-  charge_sign(ctx, cfg_);
-  for (NodeId r = 0; r < cfg_.n; ++r) {
-    if (r == ctx.self()) continue;
-    charge_mac(ctx, cfg_);
-    ctx.send(r, msg);
-  }
-}
-
 void PbftReplica::start(vm::GuestContext& ctx) {
   // Stagger the status period by replica id so status broadcasts do not all
   // collide on the same instant.
@@ -95,7 +87,7 @@ void PbftReplica::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
       st.last_exec = last_exec_;
       st.stable_seq = stable_seq_;
       st.n_pending = static_cast<std::int32_t>(pending_.size());
-      broadcast(ctx, st.encode());
+      broadcast(ctx, cfg_, st.encode());
       ctx.set_timer(kStatusTimer, cfg_.status_period);
       break;
     }
@@ -117,7 +109,7 @@ void PbftReplica::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
       vc.n_checkpoints = 1;
       vc.proof = Bytes(32, 0x7e);
       vc_votes_[target].insert(ctx.self());
-      broadcast(ctx, vc.encode());
+      broadcast(ctx, cfg_, vc.encode());
       arm_progress_timer(ctx);  // re-demand if the view change stalls
       break;
     }
@@ -177,7 +169,7 @@ void PbftReplica::handle_request(vm::GuestContext& ctx, NodeId /*src*/,
           pp.batch_size = 1;
           pp.digest = e.digest;
           pp.payload = e.payload;
-          broadcast(ctx, pp.encode());
+          broadcast(ctx, cfg_, pp.encode());
           break;
         }
       }
@@ -215,7 +207,7 @@ void PbftReplica::propose(vm::GuestContext& ctx, std::uint32_t client,
   pp.batch_size = 1;
   pp.digest = e.digest;
   pp.payload = request_bytes;
-  broadcast(ctx, pp.encode());
+  broadcast(ctx, cfg_, pp.encode());
 }
 
 void PbftReplica::handle_pre_prepare(vm::GuestContext& ctx, NodeId src,
@@ -245,7 +237,7 @@ void PbftReplica::handle_pre_prepare(vm::GuestContext& ctx, NodeId src,
       p.seq = pp.seq;
       p.replica = ctx.self();
       p.digest = e.digest;
-      broadcast(ctx, p.encode());
+      broadcast(ctx, cfg_, p.encode());
     }
     return;
   }
@@ -285,7 +277,7 @@ void PbftReplica::maybe_send_prepare(vm::GuestContext& ctx, std::uint64_t seq) {
   p.seq = seq;
   p.replica = ctx.self();
   p.digest = e.digest;
-  broadcast(ctx, p.encode());
+  broadcast(ctx, cfg_, p.encode());
   maybe_send_commit(ctx, seq);
 }
 
@@ -306,7 +298,7 @@ void PbftReplica::handle_prepare(vm::GuestContext& ctx, NodeId src,
       c.seq = p.seq;
       c.replica = ctx.self();
       c.digest = e.digest;
-      broadcast(ctx, c.encode());
+      broadcast(ctx, cfg_, c.encode());
     }
     return;
   }
@@ -325,7 +317,7 @@ void PbftReplica::maybe_send_commit(vm::GuestContext& ctx, std::uint64_t seq) {
   c.seq = seq;
   c.replica = ctx.self();
   c.digest = e.digest;
-  broadcast(ctx, c.encode());
+  broadcast(ctx, cfg_, c.encode());
   try_execute(ctx);
 }
 
@@ -376,7 +368,7 @@ void PbftReplica::try_execute(vm::GuestContext& ctx) {
       cp.replica = ctx.self();
       cp.state_digest = Bytes(8, static_cast<std::uint8_t>(last_exec_));
       checkpoint_votes_[last_exec_].insert(ctx.self());
-      broadcast(ctx, cp.encode());
+      broadcast(ctx, cfg_, cp.encode());
     }
   }
 }
@@ -490,7 +482,7 @@ void PbftReplica::handle_view_change(vm::GuestContext& ctx, NodeId src,
     mine.n_checkpoints = 1;
     mine.proof = Bytes(32, 0x7e);
     votes.insert(ctx.self());
-    broadcast(ctx, mine.encode());
+    broadcast(ctx, cfg_, mine.encode());
   }
   if (primary_of(vc.new_view) == ctx.self() && votes.size() >= 2 * cfg_.f) {
     NewView nv;
@@ -498,7 +490,7 @@ void PbftReplica::handle_view_change(vm::GuestContext& ctx, NodeId src,
     nv.primary = ctx.self();
     nv.n_view_changes = static_cast<std::int32_t>(votes.size());
     nv.proof = Bytes(32, 0x7f);
-    broadcast(ctx, nv.encode());
+    broadcast(ctx, cfg_, nv.encode());
     enter_view(ctx, vc.new_view);
   }
 }

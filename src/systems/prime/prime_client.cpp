@@ -1,6 +1,7 @@
 #include "systems/prime/prime_client.h"
 
 #include "systems/replication/crypto.h"
+#include "systems/replication/fanout.h"
 
 namespace turret::systems::prime {
 
@@ -14,12 +15,12 @@ void PrimeClient::send_update(vm::GuestContext& ctx, bool broadcast) {
   up.timestamp = timestamp_;
   up.payload = Bytes(cfg_.base.payload_size,
                      static_cast<std::uint8_t>(timestamp_));
-  const Bytes bytes = up.encode();
+  Bytes bytes = up.encode();
   charge_sign(ctx, cfg_.base);
   if (broadcast) {
-    for (NodeId r = 0; r < cfg_.base.n; ++r) ctx.send(r, bytes);
+    send_to_replicas(ctx, 0, cfg_.base.n, std::move(bytes));
   } else {
-    ctx.send(origin_, bytes);
+    ctx.send(origin_, std::move(bytes));
     sent_at_ = ctx.now();
   }
   ctx.set_timer(kRetryTimer, cfg_.base.client_timeout);

@@ -4,18 +4,10 @@
 
 #include "common/hash.h"
 #include "systems/replication/crypto.h"
+#include "systems/replication/fanout.h"
 #include "systems/replication/faults.h"
 
 namespace turret::systems::prime {
-
-void PrimeReplica::broadcast(vm::GuestContext& ctx, const Bytes& msg) {
-  charge_sign(ctx, cfg_.base);
-  for (NodeId r = 0; r < n(); ++r) {
-    if (r == ctx.self()) continue;
-    charge_mac(ctx, cfg_.base);
-    ctx.send(r, msg);
-  }
-}
 
 Bytes PrimeReplica::encode_vector() const {
   Bytes v(po_received_.size() * 8);
@@ -47,7 +39,7 @@ void PrimeReplica::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
       s.replica = ctx.self();
       s.n_entries = static_cast<std::int32_t>(n());
       s.vector = encode_vector();
-      broadcast(ctx, s.encode());
+      broadcast(ctx, cfg_.base, s.encode());
       ctx.set_timer(kSummaryTimer, cfg_.summary_period);
       break;
     }
@@ -73,7 +65,7 @@ void PrimeReplica::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
         round.matrix = matrix;
         round.prepare_sent = true;
         round.prepares.insert(ctx.self());
-        broadcast(ctx, pp.encode());
+        broadcast(ctx, cfg_.base, pp.encode());
       }
       ctx.set_timer(kPrePrepareTimer, cfg_.pre_prepare_period);
       break;
@@ -93,7 +85,7 @@ void PrimeReplica::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
         nl.replica = ctx.self();
         nl.n_proofs = 1;
         suspicion_votes_[nl.new_view].insert(ctx.self());
-        broadcast(ctx, nl.encode());
+        broadcast(ctx, cfg_.base, nl.encode());
       }
       fresh_pre_prepare_ = false;
       ctx.set_timer(kTatTimer, cfg_.tat_timeout);
@@ -129,7 +121,7 @@ void PrimeReplica::handle_update(vm::GuestContext& ctx, wire::MessageReader& r) 
   po.update = up.encode();
   po_requests_[{ctx.self(), po.po_seq}] = po.update;
   po_received_[ctx.self()] = std::max(po_received_[ctx.self()], my_po_seq_);
-  broadcast(ctx, po.encode());
+  broadcast(ctx, cfg_.base, po.encode());
 }
 
 void PrimeReplica::handle_po_request(vm::GuestContext& ctx, NodeId src,
@@ -204,7 +196,7 @@ void PrimeReplica::handle_pre_prepare(vm::GuestContext& ctx, NodeId src,
   p.seq = pp.seq;
   p.replica = ctx.self();
   p.digest = Bytes(8, static_cast<std::uint8_t>(fnv1a(pp.matrix)));
-  broadcast(ctx, p.encode());
+  broadcast(ctx, cfg_.base, p.encode());
 }
 
 void PrimeReplica::handle_prepare(vm::GuestContext& ctx, NodeId src,
@@ -223,7 +215,7 @@ void PrimeReplica::handle_prepare(vm::GuestContext& ctx, NodeId src,
     c.seq = p.seq;
     c.replica = ctx.self();
     c.digest = p.digest;
-    broadcast(ctx, c.encode());
+    broadcast(ctx, cfg_.base, c.encode());
     advance_committed(ctx);
   }
 }

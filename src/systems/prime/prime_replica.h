@@ -59,7 +59,6 @@ class PrimeReplica final : public vm::GuestNode {
 
   std::uint32_t n() const { return cfg_.base.n; }
   std::uint32_t leader_of(std::uint32_t view) const { return view % n(); }
-  void broadcast(vm::GuestContext& ctx, const Bytes& msg);
   Bytes encode_vector() const;
   void try_execute(vm::GuestContext& ctx);
   void advance_committed(vm::GuestContext& ctx);

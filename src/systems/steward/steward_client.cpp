@@ -1,6 +1,7 @@
 #include "systems/steward/steward_client.h"
 
 #include "systems/replication/crypto.h"
+#include "systems/replication/fanout.h"
 
 namespace turret::systems::steward {
 
@@ -14,12 +15,12 @@ void StewardClient::send_update(vm::GuestContext& ctx, bool broadcast) {
   up.timestamp = timestamp_;
   up.payload = Bytes(cfg_.base.payload_size,
                      static_cast<std::uint8_t>(timestamp_));
-  const Bytes bytes = up.encode();
+  Bytes bytes = up.encode();
   charge_sign(ctx, cfg_.base);
   if (broadcast) {
-    for (NodeId r = 0; r < cfg_.site_size; ++r) ctx.send(r, bytes);
+    send_to_replicas(ctx, 0, cfg_.site_size, std::move(bytes));
   } else {
-    ctx.send(0, bytes);  // leader site's initial representative
+    ctx.send(0, std::move(bytes));  // leader site's initial representative
     sent_at_ = ctx.now();
   }
   ctx.set_timer(kRetryTimer, kRetryTimeout);

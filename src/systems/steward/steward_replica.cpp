@@ -2,6 +2,7 @@
 
 #include "common/hash.h"
 #include "systems/replication/crypto.h"
+#include "systems/replication/fanout.h"
 #include "systems/replication/faults.h"
 
 namespace turret::systems::steward {
@@ -36,14 +37,10 @@ StewardReplica::Entry StewardReplica::Entry::load(serial::Reader& r) {
   return e;
 }
 
-void StewardReplica::site_broadcast(vm::GuestContext& ctx, const Bytes& msg) {
-  charge_sign(ctx, cfg_.base);
+void StewardReplica::site_broadcast(vm::GuestContext& ctx, Bytes msg) {
   const std::uint32_t site = my_site(ctx);
-  for (NodeId r = site * cfg_.site_size; r < (site + 1) * cfg_.site_size; ++r) {
-    if (r == ctx.self()) continue;
-    charge_mac(ctx, cfg_.base);
-    ctx.send(r, msg);
-  }
+  broadcast(ctx, cfg_.base, std::move(msg), site * cfg_.site_size,
+            (site + 1) * cfg_.site_size);
 }
 
 void StewardReplica::start(vm::GuestContext& ctx) {
@@ -73,10 +70,10 @@ void StewardReplica::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
             p.site = 0;
             p.request = e.request;
             ctx.consume_cpu(cfg_.threshold_combine);
-            for (NodeId r = cfg_.site_size; r < 2 * cfg_.site_size; ++r) {
+            const Peers to(cfg_.site_size, 2 * cfg_.site_size, kNoNode);
+            for (std::size_t i = 0; i < to.ids().size(); ++i)
               charge_mac(ctx, cfg_.base);
-              ctx.send(r, p.encode());
-            }
+            ctx.multicast(to.ids(), p.encode());
             e.proposed_at = ctx.now();
           }
         }

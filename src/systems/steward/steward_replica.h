@@ -74,7 +74,7 @@ class StewardReplica final : public vm::GuestNode {
   bool is_site_rep(vm::GuestContext& ctx) const {
     return cfg_.rep_of(my_site(ctx), local_view_) == ctx.self();
   }
-  void site_broadcast(vm::GuestContext& ctx, const Bytes& msg);
+  void site_broadcast(vm::GuestContext& ctx, Bytes msg);
   void start_local_round(vm::GuestContext& ctx, std::uint64_t seq,
                          const Bytes& request);
   void maybe_accept(vm::GuestContext& ctx, std::uint64_t seq);

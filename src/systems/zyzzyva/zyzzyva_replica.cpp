@@ -2,18 +2,10 @@
 
 #include "common/hash.h"
 #include "systems/replication/crypto.h"
+#include "systems/replication/fanout.h"
 #include "systems/replication/faults.h"
 
 namespace turret::systems::zyzzyva {
-
-void ZyzzyvaReplica::broadcast(vm::GuestContext& ctx, const Bytes& msg) {
-  charge_sign(ctx, cfg_);
-  for (NodeId r = 0; r < cfg_.n; ++r) {
-    if (r == ctx.self()) continue;
-    charge_mac(ctx, cfg_);
-    ctx.send(r, msg);
-  }
-}
 
 void ZyzzyvaReplica::start(vm::GuestContext& /*ctx*/) {}
 
@@ -29,7 +21,7 @@ void ZyzzyvaReplica::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
   vc.n_entries = static_cast<std::int32_t>(log_.size() > 64 ? 64 : log_.size());
   vc.proof = Bytes(32, 0x5a);
   vc_votes_[vc.new_view].insert(ctx.self());
-  broadcast(ctx, vc.encode());
+  broadcast(ctx, cfg_, vc.encode());
   ctx.set_timer(kProgressTimer, cfg_.progress_timeout);
   progress_timer_armed_ = true;
 }
@@ -66,7 +58,7 @@ void ZyzzyvaReplica::handle_request(vm::GuestContext& ctx,
         oreq.history_size = static_cast<std::int32_t>(seq);
         oreq.history_digest = Bytes(8, 0);
         oreq.request = Request{e.client, e.timestamp, e.payload}.encode();
-        broadcast(ctx, oreq.encode());
+        broadcast(ctx, cfg_, oreq.encode());
         return;
       }
     }
@@ -90,7 +82,7 @@ void ZyzzyvaReplica::order(vm::GuestContext& ctx, std::uint32_t client,
   oreq.history_size = static_cast<std::int32_t>(seq);
   oreq.history_digest = Bytes(8, 0);
   oreq.request = Request{client, timestamp, payload}.encode();
-  broadcast(ctx, oreq.encode());
+  broadcast(ctx, cfg_, oreq.encode());
   // The primary executes speculatively as well.
   spec_execute(ctx, oreq);
 }
@@ -179,7 +171,7 @@ void ZyzzyvaReplica::handle_view_change(vm::GuestContext& ctx, NodeId src,
     mine.n_entries = 0;
     mine.proof = Bytes(32, 0x5b);
     votes.insert(ctx.self());
-    broadcast(ctx, mine.encode());
+    broadcast(ctx, cfg_, mine.encode());
   }
   if (primary_of(vc.new_view) == ctx.self() && votes.size() >= 2 * cfg_.f) {
     NewView nv;
@@ -187,7 +179,7 @@ void ZyzzyvaReplica::handle_view_change(vm::GuestContext& ctx, NodeId src,
     nv.primary = ctx.self();
     nv.n_view_changes = static_cast<std::int32_t>(votes.size());
     nv.proof = Bytes(32, 0x5c);
-    broadcast(ctx, nv.encode());
+    broadcast(ctx, cfg_, nv.encode());
     enter_view(ctx, vc.new_view);
   }
 }

@@ -2,15 +2,17 @@
 //
 // A guest is the analog of the unmodified application inside a KVM VM. It is
 // an event-driven message-passing state machine (the paper's message-event
-// model): it reacts to start/message/timer events and may send messages, arm
-// timers, consume CPU and report application-level performance. Crucially,
+// model): it reacts to start/message/timer events and may send or multicast
+// messages, arm timers, consume CPU and report application-level performance. Crucially,
 // nothing in the attack-finding layers ever looks inside a guest — Turret
 // interacts with guests only through the network, the VM pause/resume/
 // save/load operations, and the performance metric stream.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
+#include <utility>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -29,6 +31,12 @@ class GuestFault : public std::runtime_error {
 
 /// Services the platform provides to a guest. Implemented by the Testbed;
 /// valid only for the duration of the guest callback it is passed to.
+///
+/// A forwarding decorator must forward every pure virtual; it may leave
+/// multicast() alone, since the default reduces it to send(). Overriding
+/// multicast() may change how the bytes are held (the Testbed shares one
+/// buffer among the destinations), never what the network sees: the same
+/// destinations, in the same order, with the same bytes as the sends.
 class GuestContext {
  public:
   virtual ~GuestContext() = default;
@@ -41,6 +49,17 @@ class GuestContext {
   /// Send an application message to another node. The message enters the
   /// emulated network (and the malicious proxy, if the sender is malicious).
   virtual void send(NodeId dst, Bytes message) = 0;
+
+  /// Send one message to each of `dsts`, in order. Equivalent to one send()
+  /// per destination; an implementation may share one buffer among all the
+  /// copies instead of copying the bytes per destination. The default does
+  /// exactly the sends (the last destination gets the moved bytes), so a
+  /// decorator that overrides only send() still sees every destination.
+  virtual void multicast(std::span<const NodeId> dsts, Bytes message) {
+    if (dsts.empty()) return;
+    for (std::size_t i = 0; i + 1 < dsts.size(); ++i) send(dsts[i], message);
+    send(dsts.back(), std::move(message));
+  }
 
   /// Arm a one-shot timer. Re-arming the same id replaces the previous one.
   virtual void set_timer(std::uint64_t timer_id, Duration delay) = 0;

@@ -63,9 +63,7 @@ std::optional<GuestInput> VirtualMachine::begin_handler(Time now) {
   TURRET_CHECK_MSG(handler_pending_ && !queue_.empty(),
                    "handler completion without a pending input");
   handler_pending_ = false;
-  GuestInput in = std::move(queue_.front());
-  queue_.pop_front();
-  return in;
+  return queue_.pop_front();
 }
 
 std::optional<Duration> VirtualMachine::finish_handler(Time now,
@@ -83,7 +81,7 @@ void VirtualMachine::save(serial::Writer& w) const {
   w.str(crash_reason_);
   w.i64(crash_time_);
   w.u32(static_cast<std::uint32_t>(queue_.size()));
-  for (const GuestInput& in : queue_) in.save(w);
+  for (std::size_t i = 0; i < queue_.size(); ++i) queue_[i].save(w);
   w.i64(busy_until_);
   w.boolean(handler_pending_);
   std::uint64_t rng_state[4];

@@ -7,12 +7,12 @@
 // handler completes, and the handler runs at that completion instant.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "common/msgbuf.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "serial/serial.h"
@@ -94,7 +94,7 @@ class VirtualMachine {
   std::string crash_reason_;
   Time crash_time_ = -1;
 
-  std::deque<GuestInput> queue_;
+  Ring<GuestInput> queue_;
   Time busy_until_ = 0;
   bool handler_pending_ = false;  ///< a kHandlerDone event is in flight
 };

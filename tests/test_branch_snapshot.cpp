@@ -4,6 +4,7 @@
 // determinism guarantee — a search produces byte-identical results at any
 // worker count and across a journal resume.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 
@@ -266,7 +267,8 @@ TEST(SnapshotDeterminism, SearchResultIdenticalAcrossJobs) {
 }
 
 std::string tmp_path(const std::string& stem) {
-  return ::testing::TempDir() + "turret_snapshot_" + stem + ".journal";
+  return ::testing::TempDir() + "turret_snapshot_" + stem + "_" +
+         std::to_string(::getpid()) + ".journal";
 }
 
 TEST(SnapshotDeterminism, JournalResumeMatchesLive) {

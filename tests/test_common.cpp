@@ -5,6 +5,7 @@
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -148,6 +149,36 @@ TEST(Hash, Digest128OrdersLikeItsLanes) {
   g.update_u64(2);
   EXPECT_EQ(h.digest(), g.digest())
       << "update_digest folds the two lanes as two words";
+}
+
+TEST(Ring, FifoAcrossWrapAndGrowth) {
+  Ring<int> q;
+  int pushed = 0;
+  int popped = 0;
+  for (int i = 0; i < 6; ++i) q.push_back(pushed++);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.pop_front(), popped++);
+  // Wraps past the end of its storage, then grows while wrapped.
+  for (int i = 0; i < 20; ++i) q.push_back(pushed++);
+  ASSERT_EQ(q.size(), 21u);
+  for (std::size_t i = 0; i < q.size(); ++i)
+    EXPECT_EQ(q[i], popped + static_cast<int>(i));
+  while (!q.empty()) EXPECT_EQ(q.pop_front(), popped++);
+  EXPECT_EQ(popped, pushed);
+}
+
+TEST(Ring, SteadyStateKeepsItsCapacity) {
+  Ring<int> q;
+  for (int i = 0; i < 3; ++i) q.push_back(i);
+  const std::size_t cap = q.capacity();
+  for (int i = 0; i < 1000; ++i) {
+    q.push_back(i);
+    q.pop_front();
+  }
+  EXPECT_EQ(q.capacity(), cap) << "a queue that never deepens must not grow";
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), cap);
+  EXPECT_THROW(q.pop_front(), std::logic_error);
 }
 
 TEST(Bytes, HexAndStringHelpers) {

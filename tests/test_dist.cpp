@@ -7,6 +7,7 @@
 // the production process shape.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -476,7 +477,8 @@ TEST(GracefulShutdown, CancelThenResumeReproducesTheUninterruptedResult) {
   const std::string ref = weighted_greedy_search(sc).to_json();
 
   const std::string jpath =
-      (std::filesystem::path(::testing::TempDir()) / "dist_cancel.journal")
+      (std::filesystem::path(::testing::TempDir()) /
+       ("dist_cancel_" + std::to_string(::getpid()) + ".journal"))
           .string();
   std::remove(jpath.c_str());
 

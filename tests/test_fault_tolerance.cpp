@@ -2,6 +2,7 @@
 // retry/quarantine containment, runaway branch budgets, and the distinction
 // between platform faults (retried) and guest crashes (an attack outcome).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -635,7 +636,8 @@ TEST(FaultAcceptance, QuarantinedBaselineRunsAndChargesNoneOfItsActions) {
   sc.fault.max_retries = 2;
   // The result, and the journal keys of every branch it ran.
   const auto journaled_search = [&sc](std::vector<std::string>& keys) {
-    const std::string path = ::testing::TempDir() + "/quarantined_base.j";
+    const std::string path = ::testing::TempDir() + "/quarantined_base_" +
+                             std::to_string(::getpid()) + ".j";
     SearchResult res;
     {
       auto journal = Journal::open(path, false);

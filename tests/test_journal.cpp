@@ -3,6 +3,7 @@
 // and resumed from its journal produces a SearchResult byte-identical to the
 // uninterrupted run, including cost accounting and quarantine records.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -17,10 +18,20 @@
 namespace turret::search {
 namespace {
 
+// Journals live in a directory of this process's own, so test binaries run
+// at the same time never open each other's files; it is removed at exit.
 std::string tmp_path(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) /
-          ("turret_journal_" + name))
-      .string();
+  static const struct Dir {
+    std::filesystem::path path =
+        std::filesystem::path(::testing::TempDir()) /
+        ("turret_journal_" + std::to_string(::getpid()));
+    Dir() { std::filesystem::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } dir;
+  return (dir.path / name).string();
 }
 
 Bytes bytes_of(std::string_view s) { return Bytes(s.begin(), s.end()); }

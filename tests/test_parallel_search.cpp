@@ -4,6 +4,7 @@
 // order guarantee of BranchExecutor::run_branches (and brute force's fan-out)
 // on a real system scenario (PBFT), not the toy ticker.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -184,7 +185,8 @@ TEST(ParallelSearchDeterminism, WeightedGreedyJournalIsByteIdentical) {
   const auto journal_bytes = [&sc](unsigned jobs) {
     const std::string path =
         (std::filesystem::path(::testing::TempDir()) /
-         ("weighted_jobs" + std::to_string(jobs) + ".journal"))
+         ("weighted_jobs" + std::to_string(jobs) + "_" +
+          std::to_string(::getpid()) + ".journal"))
             .string();
     set_default_jobs(jobs);
     {

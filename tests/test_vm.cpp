@@ -104,6 +104,61 @@ TEST(Machine, SaveLoadPreservesQueueAndGuest) {
   EXPECT_EQ(a.rng().next_u64(), b.rng().next_u64());
 }
 
+// Pops the front input the way the testbed does: the pending completion
+// fires, the handler runs, the next completion is announced.
+GuestInput run_next(VirtualMachine& m, Time now) {
+  auto in = m.begin_handler(now);
+  EXPECT_TRUE(in.has_value());
+  m.finish_handler(now, 0);
+  return in.value_or(GuestInput{});
+}
+
+GuestInput tagged_input(std::uint8_t tag) {
+  GuestInput in = msg_input(10 + tag);
+  in.message = Bytes{tag, static_cast<std::uint8_t>(tag ^ 0xff)};
+  return in;
+}
+
+TEST(Machine, InputQueueWrapsAroundAndRoundTripsThroughSnapshot) {
+  VirtualMachine a(0, std::make_unique<EchoGuest>(), CpuModel{}, 1);
+  std::uint8_t next_tag = 0;
+  std::uint8_t expect_tag = 0;
+  // Move the queue's front well into its storage, then fill past the end of
+  // the storage so the live inputs wrap around, then grow while wrapped.
+  for (int i = 0; i < 6; ++i) a.enqueue(0, tagged_input(next_tag++));
+  for (int i = 0; i < 5; ++i)
+    EXPECT_EQ(run_next(a, 100).message.span()[0], expect_tag++);
+  for (int i = 0; i < 6; ++i) a.enqueue(100, tagged_input(next_tag++));
+  ASSERT_EQ(a.queued_inputs(), 7u);
+  for (int i = 0; i < 4; ++i) a.enqueue(100, tagged_input(next_tag++));
+  ASSERT_EQ(a.queued_inputs(), 11u);
+
+  serial::Writer wa;
+  a.save(wa);
+  VirtualMachine b(0, std::make_unique<EchoGuest>(), CpuModel{}, 999);
+  serial::Reader r(wa.data());
+  b.load(r);
+  ASSERT_TRUE(r.exhausted());
+  serial::Writer wb;
+  b.save(wb);
+  EXPECT_EQ(wa.data(), wb.data()) << "save/load/save is not byte-stable";
+
+  // Both drain the same inputs in FIFO order.
+  for (int i = 0; i < 11; ++i, ++expect_tag) {
+    const GuestInput x = run_next(a, 1000 + i);
+    const GuestInput y = run_next(b, 1000 + i);
+    EXPECT_EQ(x.message.to_bytes(), (Bytes{expect_tag,
+                                           static_cast<std::uint8_t>(
+                                               expect_tag ^ 0xff)}));
+    EXPECT_EQ(y.message.to_bytes(), x.message.to_bytes());
+    EXPECT_EQ(y.cost, x.cost);
+    EXPECT_EQ(y.src, x.src);
+  }
+  EXPECT_EQ(expect_tag, next_tag);
+  EXPECT_EQ(a.queued_inputs(), 0u);
+  EXPECT_EQ(b.queued_inputs(), 0u);
+}
+
 // --- Memory images ---------------------------------------------------------
 
 MemoryProfile small_profile() {
