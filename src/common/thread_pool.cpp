@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "common/check.h"
-#include "common/trace.h"
 
 namespace turret {
 namespace {
@@ -81,7 +80,6 @@ void ThreadPool::worker_loop(unsigned worker_id) {
     // A packaged_task traps its exception in the future; a raw std::function
     // that throws would std::terminate, which is the correct response to a
     // task that bypassed submit()'s future plumbing.
-    const trace::BusyScope busy;
     task();
   }
 }

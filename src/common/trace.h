@@ -123,7 +123,7 @@ struct CounterSnapshot {
   std::uint64_t dist_reassignments = 0;  ///< leases reissued after a death
   std::uint64_t dist_worker_deaths = 0;  ///< connections lost or timed out
   std::uint64_t dist_heartbeats = 0;  ///< heartbeat frames received
-  std::uint64_t dist_local_fallbacks = 0;  ///< branches degraded to local
+  std::uint64_t dist_local_fallbacks = 0;  ///< branches not run remotely
   std::uint64_t dist_bytes_sent = 0;  ///< frame bytes written to sockets
   std::uint64_t dist_bytes_recv = 0;  ///< frame bytes read from sockets
   std::uint64_t discover_ns = 0;      ///< virtual time per search phase...
@@ -242,7 +242,7 @@ class Tracer {
   /// Wall microseconds since enable() (wall-mode timestamps).
   std::int64_t wall_now_us() const;
 
-  /// Wall time worker threads spent running tasks since enable() (see
+  /// Wall time pool workers spent running branches since enable() (see
   /// BusyScope). Wall-clock, so it is reported only in the fleet block.
   void add_pool_busy_ns(std::int64_t ns) {
     pool_busy_ns_.fetch_add(ns, std::memory_order_relaxed);
@@ -305,8 +305,9 @@ class Span {
 };
 
 /// Adds the wall time of its scope to Tracer::pool_busy_ns(): wraps each
-/// pool task, and the branches a one-worker search runs inline. No-op unless
-/// tracing is active at construction (one relaxed load).
+/// branch task on the search's pool, and the branches a one-worker search
+/// runs inline. No-op unless tracing is active at construction (one relaxed
+/// load).
 class BusyScope {
  public:
   BusyScope();

@@ -55,6 +55,8 @@ struct Coordinator::Conn {
 struct Coordinator::Batch {
   const search::BranchExecutor::InjectionPoint* ip = nullptr;
   int windows = 1;
+  /// RemoteBackend::run_remote's claim: false = the local pool took the unit.
+  const std::function<bool(std::size_t)>* claim = nullptr;
 
   struct Unit {
     const proxy::MaliciousAction* action = nullptr;
@@ -62,7 +64,9 @@ struct Coordinator::Batch {
     State state = State::kPending;
     int tries = 0;  ///< lease grants so far
     std::uint64_t id = 0;
-    search::BranchExecutor::BranchResult result;
+    /// Set once kDone or kAbandoned, except for a unit the executor's local
+    /// pool claimed first (kDone, no result).
+    std::optional<search::BranchExecutor::BranchResult> result;
   };
   std::vector<Unit> units;
 
@@ -196,11 +200,11 @@ void Coordinator::mark_dead(Conn& conn, Batch* batch, const char* why) {
         // it instead of feeding it a fresh one. The executor quarantines the
         // poison result through the normal FailedBranch path.
         unit.state = Batch::Unit::State::kAbandoned;
-        unit.result = search::BranchExecutor::BranchResult{};
-        unit.result.outcome.reset();
-        unit.result.attempts =
+        unit.result.emplace();
+        unit.result->outcome.reset();
+        unit.result->attempts =
             static_cast<std::uint32_t>(std::max(1, unit.tries));
-        unit.result.error =
+        unit.result->error =
             "distributed: worker died executing this branch (" +
             std::to_string(unit.tries) + " lease(s) spent)";
         ++batch->abandoned;
@@ -223,9 +227,12 @@ bool Coordinator::send_unit(Conn& conn, Batch& batch, std::size_t unit_index) {
   msg.windows = batch.windows;
   msg.has_action = unit.action != nullptr;
   if (unit.action != nullptr) msg.action = *unit.action;
-  msg.blob_digest = batch.blob_digest;
-  msg.has_blob = !(conn.has_blob && conn.blob_digest == batch.blob_digest);
-  if (msg.has_blob) msg.blob = *batch.ip->snapshot;
+  msg.from_start = batch.ip->from_start();
+  if (!msg.from_start) {
+    msg.blob_digest = batch.blob_digest;
+    msg.has_blob = !(conn.has_blob && conn.blob_digest == batch.blob_digest);
+    if (msg.has_blob) msg.blob = *batch.ip->snapshot;
+  }
   for (const auto& [ref, page] : batch.deltas) {
     if (conn.shipped.count({ref.hash, ref.slot}) != 0) continue;
     WorkMsg::PageDelta d;
@@ -241,8 +248,10 @@ bool Coordinator::send_unit(Conn& conn, Batch& batch, std::size_t unit_index) {
     return false;
   }
   // The connection now durably holds everything the message shipped.
-  conn.has_blob = true;
-  conn.blob_digest = batch.blob_digest;
+  if (msg.has_blob) {
+    conn.has_blob = true;
+    conn.blob_digest = batch.blob_digest;
+  }
   for (const WorkMsg::PageDelta& d : msg.pages) {
     conn.shipped.insert({d.hash, d.slot});
   }
@@ -275,10 +284,17 @@ void Coordinator::assign_units(Batch& batch) {
     // input-order regardless) but it keeps grant journals readable.
     std::size_t next = kNoLease;
     for (std::size_t u = 0; u < batch.units.size(); ++u) {
-      if (batch.units[u].state == Batch::Unit::State::kPending) {
-        next = u;
-        break;
+      Batch::Unit& unit = batch.units[u];
+      if (unit.state != Batch::Unit::State::kPending) continue;
+      // A unit is claimed once, before its first grant; a lease returned by
+      // a dead worker stays ours.
+      if (unit.tries == 0 && !(*batch.claim)(u)) {
+        unit.state = Batch::Unit::State::kDone;
+        ++batch.done;
+        continue;
       }
+      next = u;
+      break;
     }
     if (next == kNoLease) return;
     send_unit(*c, batch, next);
@@ -440,48 +456,49 @@ std::vector<std::optional<search::BranchExecutor::BranchResult>>
 Coordinator::run_remote(const search::BranchExecutor::InjectionPoint& ip,
                         const std::vector<const proxy::MaliciousAction*>& actions,
                         const std::vector<std::size_t>& live, int windows,
-                        const runtime::DecodedSnapshot& snap) {
+                        const runtime::DecodedSnapshot* snap,
+                        const std::function<bool(std::size_t)>& claim) {
   std::vector<std::optional<search::BranchExecutor::BranchResult>> out(
       live.size());
-  if (listener_ == nullptr || ip.snapshot == nullptr) return out;
+  if (listener_ == nullptr) return out;
 
   Batch batch;
   batch.ip = &ip;
   batch.windows = windows;
+  batch.claim = &claim;
   batch.units.resize(live.size());
   for (std::size_t k = 0; k < live.size(); ++k) {
     batch.units[k].action = actions[live[k]];
   }
-  {
+  // A run from t = 0 (no snapshot) ships neither blob nor pages.
+  if (snap != nullptr) {
     Hasher128 h;
     h.update(BytesView(*ip.snapshot));
     batch.blob_digest = h.digest();
-  }
-  // The blob's page deltas, deduped in frame order.
-  std::set<std::pair<std::uint64_t, std::uint32_t>> seen;
-  for (const auto& frame : snap.frames) {
-    for (std::size_t j = 0; j < frame->refs.size(); ++j) {
-      const vm::PageRef& ref = frame->refs[j];
-      if (seen.insert({ref.hash, ref.slot}).second) {
-        batch.deltas.emplace_back(ref, frame->pages[j]);
+    // The blob's page deltas, deduped in frame order.
+    std::set<std::pair<std::uint64_t, std::uint32_t>> seen;
+    for (const auto& frame : snap->frames) {
+      for (std::size_t j = 0; j < frame->refs.size(); ++j) {
+        const vm::PageRef& ref = frame->refs[j];
+        if (seen.insert({ref.hash, ref.slot}).second) {
+          batch.deltas.emplace_back(ref, frame->pages[j]);
+        }
       }
     }
   }
 
   while (!batch.finished()) {
     assign_units(batch);
-    if (conns_.empty()) break;  // nobody left: degrade the rest to local
+    // Nobody left: degrade the rest to local. Finished: the units the local
+    // pool took completed the batch, and a poll would only wait it out.
+    if (conns_.empty() || batch.finished()) break;
     pump(opt_.poll_interval_ms, &batch);
   }
 
-  for (std::size_t k = 0; k < batch.units.size(); ++k) {
-    const Batch::Unit& unit = batch.units[k];
-    if (unit.state == Batch::Unit::State::kDone ||
-        unit.state == Batch::Unit::State::kAbandoned) {
-      out[k] = unit.result;
-    }
-    // kPending (never placed) stays nullopt → the executor runs it locally.
-  }
+  // Units never placed, or taken by the local pool, stay nullopt: the
+  // executor runs them locally.
+  for (std::size_t k = 0; k < batch.units.size(); ++k)
+    out[k] = batch.units[k].result;
   return out;
 }
 

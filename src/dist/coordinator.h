@@ -17,10 +17,15 @@
 //     FailedBranch path.
 //   * Graceful degradation — units that could not be placed (no workers, all
 //     workers died) come back as nullopt and the executor runs them locally.
+//   * Shared batches — the executor's local pool works the same batch; a
+//     unit the pool claimed first is skipped (and comes back nullopt).
+//     run_remote is called from one executor thread at a time (its
+//     dispatcher), never concurrently.
 //
 // Everything the coordinator ships is per-connection delta-encoded: the
 // snapshot blob travels once per (connection, injection point) and cow pages
-// travel only if that connection has never seen the (hash, slot) before.
+// travel only if that connection has never seen the (hash, slot) before. A
+// brute-force unit runs from t = 0 and ships no snapshot at all.
 #pragma once
 
 #include <sys/types.h>
@@ -105,7 +110,8 @@ class Coordinator final : public search::RemoteBackend {
       const search::BranchExecutor::InjectionPoint& ip,
       const std::vector<const proxy::MaliciousAction*>& actions,
       const std::vector<std::size_t>& live, int windows,
-      const runtime::DecodedSnapshot& snap) override;
+      const runtime::DecodedSnapshot* snap,
+      const std::function<bool(std::size_t)>& claim) override;
 
  private:
   struct Conn;

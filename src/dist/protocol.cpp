@@ -154,6 +154,8 @@ Bytes WorkMsg::encode() const {
   w.i32(windows);
   w.boolean(has_action);
   if (has_action) action.save(w);
+  w.boolean(from_start);
+  if (from_start) return w.take();
   w.u64(blob_digest.hi);
   w.u64(blob_digest.lo);
   w.boolean(has_blob);
@@ -177,6 +179,8 @@ WorkMsg WorkMsg::decode(BytesView payload) {
     m.windows = r.i32();
     m.has_action = r.boolean();
     if (m.has_action) m.action = proxy::MaliciousAction::load(r);
+    m.from_start = r.boolean();
+    if (m.from_start) return m;
     m.blob_digest.hi = r.u64();
     m.blob_digest.lo = r.u64();
     m.has_blob = r.boolean();

@@ -65,7 +65,9 @@ constexpr std::uint32_t kMaxFramePayload = 256u << 20;
 // v5: snapshot blobs carry no timer section; each armed guest timer is one
 // kTimer event in the emulator section.
 // v6: the counter snapshot gains unroutable_sends.
-constexpr std::uint32_t kProtocolVersion = 6;
+// v7: a work unit may run from t = 0 (from_start), carrying no blob digest,
+// blob or page deltas.
+constexpr std::uint32_t kProtocolVersion = 7;
 
 struct Frame {
   FrameType type = FrameType::kHello;
@@ -118,6 +120,8 @@ struct WelcomeMsg {
 /// worker's PageStore is missing. The blob and pages are shipped only when
 /// this connection has not seen them yet — `blob_digest` lets the worker
 /// reuse its cached copy ("same blob as last time") and detect misrouting.
+/// A from_start unit (brute force) is a full run from t = 0 and carries no
+/// snapshot at all.
 struct WorkMsg {
   std::uint64_t unit = 0;  ///< coordinator-assigned id, echoed in ResultMsg
 
@@ -130,6 +134,7 @@ struct WorkMsg {
   bool has_action = false;  ///< false = baseline branch
   proxy::MaliciousAction action;
 
+  bool from_start = false;  ///< true: no blob_digest, blob or pages follow
   Digest128 blob_digest{};
   bool has_blob = false;  ///< false: reuse the last blob (digest must match)
   Bytes blob;

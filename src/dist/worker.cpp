@@ -108,10 +108,12 @@ ServeEnd serve(int fd, const search::Scenario& sc,
     for (const WorkMsg::PageDelta& d : work.pages) {
       store->put(vm::PageRef{d.hash, d.slot}, d.content);
     }
+    // A from-start unit (brute force) runs from t = 0 with no snapshot.
     if (work.has_blob) {
       cached_blob = std::make_shared<const Bytes>(std::move(work.blob));
       cached_digest = work.blob_digest;
-    } else if (cached_blob == nullptr || !(work.blob_digest == cached_digest)) {
+    } else if (!work.from_start && (cached_blob == nullptr ||
+                                    !(work.blob_digest == cached_digest))) {
       throw ProtocolError(
           "work unit references a snapshot blob this connection never "
           "received");
@@ -121,7 +123,7 @@ ServeEnd serve(int fd, const search::Scenario& sc,
     ip.tag = work.tag;
     ip.message_name = work.message_name;
     ip.time = work.time;
-    ip.snapshot = cached_blob;
+    if (!work.from_start) ip.snapshot = cached_blob;
     const search::BranchExecutor::BranchResult r = exec.execute_unit(
         ip, work.has_action ? &work.action : nullptr, work.windows);
 

@@ -1,18 +1,12 @@
 #include "search/algorithms.h"
 
 #include <algorithm>
-#include <future>
-#include <map>
+#include <deque>
 #include <set>
 
 #include "common/check.h"
-#include "common/fault.h"
 #include "common/log.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
-#include "netem/emulator.h"
-#include "search/journal.h"
-#include "search/provenance.h"
 
 namespace turret::search {
 namespace {
@@ -93,34 +87,6 @@ EvalSet evaluate_all(BranchExecutor& exec,
   return es;
 }
 
-/// Brute force's containment loop: the same retry/quarantine semantics as
-/// BranchExecutor::attempt_branch, but around a full scenario execution
-/// (brute force never branches, so it has no executor to lean on).
-template <typename Fn>
-BranchResult attempt_full_run(const Scenario& sc, Fn&& fn) {
-  BranchResult r;
-  const int max_attempts = 1 + std::max(0, sc.fault.max_retries);
-  for (int attempt = 1;; ++attempt) {
-    r.attempts = static_cast<std::uint32_t>(attempt);
-    try {
-      fault::inject(fault::kBranchExec);
-      r.outcome = fn();
-      r.error.clear();
-      return r;
-    } catch (const netem::BudgetExceededError& e) {
-      r.error = e.what();
-      if (trace::active())
-        trace::counters().budget_aborts.fetch_add(1, std::memory_order_relaxed);
-      return r;  // deterministic runaway: quarantine immediately
-    } catch (const std::exception& e) {
-      r.error = e.what();
-    } catch (...) {
-      r.error = "unknown error";
-    }
-    if (attempt >= max_attempts) return r;
-  }
-}
-
 /// Effect classification shared by every algorithm: crash and halt dominate;
 /// qualifying damage that honest receivers *detected* (TamperDetected
 /// observations in the attack window) is a detection storm — the signed
@@ -185,6 +151,16 @@ std::string action_key(wire::TypeTag tag, const proxy::MaliciousAction& a) {
   return std::to_string(tag) + "|" + a.describe();
 }
 
+/// One message type's brute-force runs: a baseline batch (one window) and
+/// one two-window run per action, every one a full execution from t = 0.
+struct TagRuns {
+  const BranchExecutor::InjectionPoint* ip = nullptr;
+  std::vector<proxy::MaliciousAction> actions;
+  /// Last, so they drain before the actions they point at are destroyed.
+  BranchExecutor::PendingBatch baseline;
+  BranchExecutor::PendingBatch runs;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -192,322 +168,79 @@ std::string action_key(wire::TypeTag tag, const proxy::MaliciousAction& a) {
 // ---------------------------------------------------------------------------
 
 SearchResult brute_force_search(const Scenario& sc, Journal* journal,
-                                ProvenanceStore* provenance) {
+                                ProvenanceStore* provenance,
+                                RemoteBackend* remote) {
+  BranchExecutor exec(sc);
+  exec.set_journal(journal);
+  exec.set_provenance(provenance);
+  exec.set_remote(remote);
+  // Brute force cannot branch: its injection points carry no snapshot, so
+  // every branch below is a full execution from t = 0, charged as one.
+  const auto& points = exec.discover(/*snapshots=*/false);
+
   SearchResult res;
   res.algorithm = "brute-force";
-  SearchCost& cost = res.cost;
+  res.baseline_performance = exec.benign_performance().value;
 
-  // Benign execution: first-send time per message type and per-type baseline
-  // windows. Obtained once (the algorithm's only shared state).
-  std::map<wire::TypeTag, Time> first_send;
-  std::vector<wire::TypeTag> order;
-  WindowPerf benign;
-  {
-    ScenarioWorld w = make_scenario_world(sc);
-    w.proxy->set_observer([&](NodeId, NodeId, wire::TypeTag tag) -> bool {
-      if (w.testbed->now() < sc.warmup) return false;
-      if (first_send.emplace(tag, w.testbed->now()).second)
-        order.push_back(tag);
-      return false;  // brute force never branches, so no holds
-    });
-    w.testbed->start();
-    w.testbed->run_until(sc.duration);
-    cost.execution += sc.duration;
-    benign = measure_window(sc.metric, *w.testbed, sc.warmup,
-                            sc.warmup + sc.window);
-    if (provenance != nullptr) {
-      provenance->add(std::make_shared<const BranchProvenance>(
-          harvest_provenance(w, sc, "discover", 0, sc.duration, 0)));
-    }
-    if (trace::active()) {
-      trace::counters().discover_ns.fetch_add(
-          static_cast<std::uint64_t>(sc.duration), std::memory_order_relaxed);
-      trace::Span("search", "discover")
-          .at(0)
-          .lasted(sc.duration)
-          .arg("points", static_cast<std::uint64_t>(order.size()));
-    }
-  }
-
-  // Brute force cannot branch, so every measurement below is an independent
-  // full execution from t = 0 — exactly the shape a worker pool wants. All
-  // executions (per-type baselines and per-action attack runs) are fanned out
-  // across the pool; the merge then replays the serial per-tag, per-action
-  // order so cost accounting and found_after are byte-identical to a
-  // single-worker run.
-  auto window_perf = [&sc](const runtime::Testbed& tb, Time t0,
-                           Time t1) -> WindowPerf {
-    return measure_window(sc.metric, tb, t0, t1);
-  };
-
-  // Every execution is a contained BranchResult: baseline runs carry one
-  // window, attack runs two windows + a crash count. `cached` slots hold
-  // journal replays; only misses get a future.
-  struct TagWork {
-    wire::TypeTag tag = 0;
-    std::string name;
-    Time t0 = 0;
-    std::vector<proxy::MaliciousAction> actions;
-    std::optional<BranchResult> base_cached;
-    std::future<BranchResult> base;
-    std::vector<std::optional<BranchResult>> run_cached;
-    std::vector<std::future<BranchResult>> runs;
-  };
-  const auto base_key = [](const TagWork& tw) {
-    return "bf|" + std::to_string(tw.tag) + "|base";
-  };
-  const auto run_key = [](const TagWork& tw, std::size_t i) {
-    return "bf|" + std::to_string(tw.tag) + "|" + tw.actions[i].describe();
-  };
-
-  // Enumerate every execution first (futures reference the stored actions).
-  std::vector<TagWork> work;
-  for (wire::TypeTag tag : order) {
-    const wire::MessageSpec* spec = sc.schema->by_tag(tag);
-    if (spec == nullptr) continue;
-    TagWork tw;
-    tw.tag = tag;
-    tw.name = spec->name;
-    tw.t0 = first_send.at(tag);
-    tw.actions = proxy::enumerate_actions(*spec, sc.actions);
-    work.push_back(std::move(tw));
-  }
-
-  ThreadPool pool;
-
-  for (TagWork& tw : work) {
-    // Cooperative cancellation between message types: everything submitted so
-    // far still drains (the pool destructor runs queued tasks), and nothing
-    // past this type was journaled, so --resume picks up exactly here.
-    if (cancel_requested()) throw CancelledError();
-    const Time t0 = tw.t0;
-    const Time t_end = t0 + 2 * sc.window;
-    // Per-type baseline window from a dedicated benign run (brute force can
-    // not branch, so it pays a full execution even for the baseline). A
-    // journaled result replays from disk instead of executing.
-    if (journal != nullptr) {
-      if (std::optional<Bytes> rec = journal->replay(base_key(tw))) {
-        tw.base_cached = decode_branch_result(*rec);
-        if (trace::active())
-          trace::counters().journal_replays.fetch_add(
-              1, std::memory_order_relaxed);
-      }
-    }
-    if (!tw.base_cached) {
-      // Harvest keys are captured by value: the lambda may outlive this loop
-      // iteration, and each task needs its own branch identity.
-      tw.base = pool.submit([&sc, &window_perf, t0,
-                             harvest = provenance != nullptr,
-                             key = base_key(tw)] {
-        return attempt_full_run(sc, [&] {
-          ScenarioWorld w = make_scenario_world(sc);
-          w.testbed->emulator().set_event_budget(sc.fault.max_branch_events);
-          w.testbed->start();
-          w.testbed->run_until(t0 + sc.window);
-          BranchExecutor::BranchOutcome out;
-          out.windows = {window_perf(*w.testbed, t0, t0 + sc.window)};
-          if (harvest) {
-            out.provenance = std::make_shared<const BranchProvenance>(
-                harvest_provenance(w, sc, key, t0, t0 + sc.window, 1));
-          }
-          return out;
-        });
-      });
-    }
-    tw.run_cached.resize(tw.actions.size());
-    tw.runs.resize(tw.actions.size());
-    for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-      if (journal != nullptr) {
-        if (std::optional<Bytes> rec = journal->replay(run_key(tw, i))) {
-          tw.run_cached[i] = decode_branch_result(*rec);
-          if (trace::active())
-            trace::counters().journal_replays.fetch_add(
-                1, std::memory_order_relaxed);
-        }
-      }
-    }
-
-    for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-      if (tw.run_cached[i]) continue;
-      // A full execution per scenario, attack armed from the start; the
-      // injection point is still the first send of the type, which the armed
-      // action is what transforms.
-      const proxy::MaliciousAction& action = tw.actions[i];
-      tw.runs[i] = pool.submit([&sc, &window_perf, &action, t0, t_end,
-                                harvest = provenance != nullptr,
-                                key = run_key(tw, i)] {
-        return attempt_full_run(sc, [&] {
-          ScenarioWorld w = make_scenario_world(sc);
-          w.testbed->emulator().set_event_budget(sc.fault.max_branch_events);
-          w.proxy->arm(action);
-          w.testbed->start();
-          w.testbed->run_until(t_end);
-          BranchExecutor::BranchOutcome out;
-          out.windows = {window_perf(*w.testbed, t0, t0 + sc.window),
-                         window_perf(*w.testbed, t0 + sc.window, t_end)};
-          out.new_crashes =
-              static_cast<std::uint32_t>(w.testbed->crashed_nodes().size());
-          if (harvest) {
-            out.provenance = std::make_shared<const BranchProvenance>(
-                harvest_provenance(w, sc, key, t0, t_end, 2));
-          }
-          return out;
-        });
-      });
-    }
-  }
-
-  // Deterministic merge in original (tag, action) order. Every future is
-  // drained before any error escapes — tasks reference this frame — and
-  // harness-level errors (containment catches everything a run can throw)
-  // are aggregated rather than dropped after the first.
-  std::vector<std::string> harness_errors;
-  const auto settle = [&harness_errors](std::optional<BranchResult>& cached,
-                                        std::future<BranchResult>& fut) {
-    if (cached) return *std::move(cached);
-    try {
-      return fut.get();
-    } catch (const std::exception& e) {
-      harness_errors.push_back(e.what());
-    } catch (...) {
-      harness_errors.push_back("unknown error");
-    }
-    BranchResult r;
-    r.error = "harness error";
-    return r;
-  };
-
-  for (TagWork& tw : work) {
-    const Time t0 = tw.t0;
-    const Time t_end = t0 + 2 * sc.window;
-    trace::Span tag_span("search", "brute-tag");
-    if (trace::active()) {
-      tag_span.at(t0)
-          .lasted(2 * sc.window)
-          .arg("message", tw.name)
-          .arg("actions", static_cast<std::uint64_t>(tw.actions.size()));
-    }
-    BranchResult base_r = settle(tw.base_cached, tw.base);
-    if (journal != nullptr && !tw.base_cached) {
-      journal->append(base_key(tw), encode_branch_result(base_r));
-    }
-    if (provenance != nullptr && base_r.ok() &&
-        base_r.outcome->provenance != nullptr) {
-      provenance->add(base_r.outcome->provenance);
-    }
-    // Each attempt re-runs the full execution up to the measured window.
-    cost.execution += static_cast<Duration>(base_r.attempts) * (t0 + sc.window);
-    cost.branches += base_r.attempts;
-    cost.retries += base_r.attempts - 1;
-    if (trace::active()) {
-      trace::Counters& c = trace::counters();
-      c.branch_attempts.fetch_add(base_r.attempts, std::memory_order_relaxed);
-      c.branch_retries.fetch_add(base_r.attempts - 1,
-                                 std::memory_order_relaxed);
-      c.evaluate_ns.fetch_add(
-          static_cast<std::uint64_t>(base_r.attempts) * (t0 + sc.window),
-          std::memory_order_relaxed);
-    }
-    if (!base_r.ok()) {
-      // Without the per-type baseline nothing at this tag can be evaluated:
-      // quarantine the baseline, then drain (and charge) its attack runs.
-      FailedBranch f;
-      f.had_action = false;
-      f.tag = tw.tag;
-      f.message_name = tw.name;
-      f.injection_time = t0;
-      f.attempts = base_r.attempts;
-      f.error = base_r.error;
-      if (trace::active()) {
-        trace::counters().branch_quarantines.fetch_add(
-            1, std::memory_order_relaxed);
-        trace::instant("search", "quarantine", t0,
-                       trace::Args()
-                           .add("message", tw.name)
-                           .add("branch", tw.name + " baseline")
-                           .add("attempts",
-                                static_cast<std::uint64_t>(f.attempts))
-                           .take());
-      }
-      res.failed.push_back(std::move(f));
-    }
-
-    for (std::size_t i = 0; i < tw.runs.size(); ++i) {
-      BranchResult run_r = settle(tw.run_cached[i], tw.runs[i]);
-      if (journal != nullptr && !tw.run_cached[i]) {
-        journal->append(run_key(tw, i), encode_branch_result(run_r));
-      }
-      if (provenance != nullptr && run_r.ok() &&
-          run_r.outcome->provenance != nullptr) {
-        provenance->add(run_r.outcome->provenance);
-      }
-      // Charged whether or not the run produced an outcome: a throwing
-      // branch still executed (satellite fix — the old path skipped both
-      // charges, so faulted searches under-reported found_after).
-      cost.execution += static_cast<Duration>(run_r.attempts) * t_end;
-      cost.branches += run_r.attempts;
-      cost.retries += run_r.attempts - 1;
-      if (trace::active()) {
-        trace::Counters& c = trace::counters();
-        c.branch_attempts.fetch_add(run_r.attempts, std::memory_order_relaxed);
-        c.branch_retries.fetch_add(run_r.attempts - 1,
-                                   std::memory_order_relaxed);
-        c.classify_ns.fetch_add(
-            static_cast<std::uint64_t>(run_r.attempts) * t_end,
-            std::memory_order_relaxed);
-      }
-      if (!run_r.ok()) {
-        FailedBranch f;
-        f.action = tw.actions[i];
-        f.had_action = true;
-        f.tag = tw.tag;
-        f.message_name = tw.name;
-        f.injection_time = t0;
-        f.attempts = run_r.attempts;
-        f.error = run_r.error;
-        if (trace::active()) {
-          trace::counters().branch_quarantines.fetch_add(
-              1, std::memory_order_relaxed);
-          trace::instant("search", "quarantine", t0,
-                         trace::Args()
-                             .add("message", tw.name)
-                             .add("branch", f.action.describe())
-                             .add("attempts",
-                                  static_cast<std::uint64_t>(f.attempts))
-                             .take());
-        }
-        res.failed.push_back(std::move(f));
+  // Merges replay the serial per-tag, per-action order, so cost,
+  // quarantines, journal and found_after match a single-worker run.
+  const auto merge = [&](TagRuns& t) {
+    const BranchExecutor::InjectionPoint& ip = *t.ip;
+    const BranchResult base = exec.merge_branches(t.baseline)[0];
+    // `running` is the serial cost clock: each run pays all its attempts.
+    Duration running = exec.cost().total();
+    const Duration run_cost = exec.attempt_cost(ip, 2);
+    const std::vector<BranchResult> runs = exec.merge_branches(t.runs);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      running += static_cast<Duration>(runs[i].attempts) * run_cost;
+      // A quarantined baseline leaves nothing to compare against.
+      if (!runs[i].ok() || !base.ok()) continue;
+      const BranchExecutor::BranchOutcome& out = *runs[i].outcome;
+      const WindowPerf& w0 = out.windows[0];
+      const WindowPerf& w1 = out.windows[1];
+      const WindowPerf& b = base.outcome->windows[0];
+      // Unlike Evaluation::rank(), tampering in either window qualifies.
+      if (out.new_crashes == 0 &&
+          compute_damage(sc.metric, b, w0) <= sc.delta &&
+          w0.tampers + w1.tampers == 0)
         continue;
-      }
-      if (!base_r.ok()) continue;  // outcome fine, but nothing to compare to
-
-      const WindowPerf& base = base_r.outcome->windows[0];
-      const WindowPerf& w0 = run_r.outcome->windows[0];
-      const WindowPerf& w1 = run_r.outcome->windows[1];
-      const std::uint32_t crashes = run_r.outcome->new_crashes;
-      const double damage = compute_damage(sc.metric, base, w0);
-      const std::uint64_t tampers = w0.tampers + w1.tampers;
-      if (crashes == 0 && damage <= sc.delta && tampers == 0) continue;
-
-      AttackReport rep;
-      rep.action = tw.actions[i];
-      rep.baseline_performance = base.value;
-      rep.attacked_performance = w0.value;
-      rep.recovery_performance = w1.value;
-      rep.damage = damage;
-      rep.crashed_nodes = crashes;
-      rep.tamper_detected = w0.tampers + w1.tampers;
-      rep.injection_time = t0;
-      rep.provenance_key = run_key(tw, i);
-      rep.baseline_key = base_key(tw);
-      rep.effect = classify_effect(sc, base, w0, w1, crashes);
-      fill_percentiles(rep, base, w0);
-      rep.found_after = cost.total();
+      AttackReport rep = make_report(sc, ip, t.actions[i], b, out);
+      rep.found_after = running;
+      rep.provenance_key = BranchExecutor::branch_key(ip, &t.actions[i], 2);
+      rep.baseline_key = BranchExecutor::branch_key(ip, nullptr, 1);
       res.attacks.push_back(std::move(rep));
     }
+  };
+
+  // Every execution is independent, so each message type is submitted
+  // without waiting for the last; after each submit the leading types that
+  // already finished are merged, so journal appends keep pace with
+  // execution whether a submit queues its branches (the pool) or runs them
+  // (inline at one job). A cancel (thrown by a submit) first merges, and so
+  // journals, every type already submitted.
+  std::deque<TagRuns> queued;
+  const auto finished = [&] {
+    return !queued.empty() && queued.front().baseline.ready() &&
+           queued.front().runs.ready();
+  };
+  for (const auto& ip : points) {
+    TagRuns t;
+    t.ip = &ip;
+    t.actions =
+        proxy::enumerate_actions(*sc.schema->by_tag(ip.tag), sc.actions);
+    try {
+      t.baseline = exec.submit_branches(ip, {nullptr}, 1);
+      t.runs = exec.submit_branches(ip, pointers(t.actions), 2);
+    } catch (const CancelledError&) {
+      for (TagRuns& done : queued) merge(done);
+      throw;
+    }
+    queued.push_back(std::move(t));
+    for (; finished(); queued.pop_front()) merge(queued.front());
   }
-  if (!harness_errors.empty()) throw AggregateBranchError(harness_errors);
-  res.baseline_performance = benign.value;
+  for (; !queued.empty(); queued.pop_front()) merge(queued.front());
+  res.cost = exec.cost();
+  res.failed = exec.failed();
   return res;
 }
 
@@ -759,10 +492,10 @@ SearchResult weighted_greedy_search(const Scenario& sc,
   // serial cost clock — each pick pays every attempt of its evaluation branch
   // and, if it qualifies, of its classification branch, so found_after is
   // identical whether branches ran live or replayed from a journal.
-  const Duration eval_cost = sc.window + sc.branch_cost.load_cost;
-  const Duration classify_cost = 2 * sc.window + sc.branch_cost.load_cost;
   const auto scan = [&](PointWork& w) {
     const BranchExecutor::InjectionPoint& ip = *w.ip;
+    const Duration eval_cost = exec.attempt_cost(ip, 1);
+    const Duration classify_cost = exec.attempt_cost(ip, 2);
     const std::vector<proxy::MaliciousAction>& actions = w.actions;
     Duration running = w.cost_before;
     std::vector<std::size_t> alive(actions.size());

@@ -1,7 +1,9 @@
 // The three attack-finding algorithms of §III-B.
 //
 //  * brute_force_search — Fig. 2(a): one full execution per (message type,
-//    action) scenario, no branching. Simple, and pays for it in time.
+//    action) scenario, no branching. Simple, and pays for it in time. It
+//    runs on the same BranchExecutor as the others, from injection points
+//    without a snapshot: each branch is a full run from t = 0.
 //  * greedy_search — Fig. 2(b), the Gatling algorithm: branch at an injection
 //    point, evaluate a baseline plus *every* action for the message type,
 //    select the strongest, and require the same action to win at several
@@ -72,14 +74,12 @@ class Journal;
 /// branches (journal-replayed branches execute nothing and contribute no
 /// provenance).
 ///
-/// The branching searches additionally accept an optional RemoteBackend
-/// (dist::Coordinator): batches of branches are shipped to workers and
-/// merged in input order, so the SearchResult is byte-identical to an
-/// in-process run at any worker count. Brute force takes no backend — its
-/// unit of work is a full execution with no snapshot to ship, so it always
-/// runs in the local pool.
+/// Finally, an optional RemoteBackend (dist::Coordinator): batches of
+/// branches are shipped to workers and merged in input order, so the
+/// SearchResult is byte-identical to an in-process run at any worker count.
 SearchResult brute_force_search(const Scenario& sc, Journal* journal = nullptr,
-                                ProvenanceStore* provenance = nullptr);
+                                ProvenanceStore* provenance = nullptr,
+                                RemoteBackend* remote = nullptr);
 SearchResult greedy_search(const Scenario& sc, const GreedyOptions& opt = {},
                            Journal* journal = nullptr,
                            ProvenanceStore* provenance = nullptr,

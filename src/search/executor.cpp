@@ -21,6 +21,20 @@ namespace {
 // Cooperative cancellation flag: set from signal handlers, consumed at batch
 // boundaries. Process-wide because signal handlers have no better scope.
 std::atomic<bool> g_cancel{false};
+
+/// Virtual run time of one attempt: the windows, plus — for a run from
+/// t = 0 — everything before the injection point.
+Duration run_length(const Scenario& sc,
+                    const BranchExecutor::InjectionPoint& ip, int windows) {
+  const Duration w = static_cast<Duration>(windows) * sc.window;
+  return ip.from_start() ? ip.time + w : w;
+}
+
+/// Snapshot-load charge of one attempt: a run from t = 0 loads nothing.
+Duration load_cost(const Scenario& sc,
+                   const BranchExecutor::InjectionPoint& ip) {
+  return ip.from_start() ? 0 : sc.branch_cost.load_cost;
+}
 }  // namespace
 
 void request_cancel() noexcept {
@@ -164,12 +178,8 @@ WindowPerf measure_window(const MetricSpec& metric, const runtime::Testbed& tb,
   return out;
 }
 
-WindowPerf BranchExecutor::measure(const runtime::Testbed& tb, Time t0,
-                                   Time t1) const {
-  return measure_window(sc_.metric, tb, t0, t1);
-}
-
-const std::vector<BranchExecutor::InjectionPoint>& BranchExecutor::discover() {
+const std::vector<BranchExecutor::InjectionPoint>& BranchExecutor::discover(
+    bool snapshots) {
   if (points_) return *points_;
   points_.emplace();
 
@@ -179,13 +189,24 @@ const std::vector<BranchExecutor::InjectionPoint>& BranchExecutor::discover() {
   // that step is held across the snapshot — a broadcast is many sends, and a
   // branch's armed action must apply to all of them (a rare message like
   // View-Change may never be sent again inside the observation window).
+  // Without snapshots nothing is held: a point is just its first-send time.
   std::set<wire::TypeTag> seen;
   std::vector<wire::TypeTag> fresh;
   w.proxy->set_observer([&](NodeId, NodeId, wire::TypeTag tag) -> bool {
     if (w.testbed->now() < sc_.warmup) return false;
     if (seen.insert(tag).second) {
-      fresh.push_back(tag);
-      return true;  // hold the triggering message across the snapshot
+      if (snapshots) {
+        fresh.push_back(tag);
+        return true;  // hold the triggering message across the snapshot
+      }
+      if (const wire::MessageSpec* spec = sc_.schema->by_tag(tag)) {
+        InjectionPoint ip;
+        ip.tag = tag;
+        ip.message_name = spec->name;
+        ip.time = w.testbed->now();
+        points_->push_back(std::move(ip));
+      }
+      return false;
     }
     // Further sends of a just-captured type in this same step (the rest of
     // the broadcast): hold them too.
@@ -194,6 +215,9 @@ const std::vector<BranchExecutor::InjectionPoint>& BranchExecutor::discover() {
 
   w.testbed->start();
   const Time horizon = sc_.duration;
+  // Nothing is saved between steps: run straight to the horizon, events due
+  // exactly at it included.
+  if (!snapshots) w.testbed->run_until(horizon);
   while (w.testbed->now() < horizon) {
     const Time next = w.testbed->emulator().next_event_time();
     if (next < 0 || next > horizon) break;
@@ -233,7 +257,8 @@ const std::vector<BranchExecutor::InjectionPoint>& BranchExecutor::discover() {
   }
 
   // Whole-run benign performance, reused by reports.
-  benign_perf_ = measure(*w.testbed, sc_.warmup, sc_.warmup + sc_.window);
+  benign_perf_ = measure_window(sc_.metric, *w.testbed, sc_.warmup,
+                                sc_.warmup + sc_.window);
   if (provenance_ != nullptr) {
     provenance_->add(std::make_shared<const BranchProvenance>(
         harvest_provenance(w, sc_, "discover", 0, sc_.duration, 0)));
@@ -248,7 +273,7 @@ WindowPerf BranchExecutor::benign_performance() {
 
 std::shared_ptr<const runtime::DecodedSnapshot> BranchExecutor::decoded(
     const InjectionPoint& ip) {
-  TURRET_CHECK_MSG(ip.snapshot != nullptr, "injection point has no snapshot");
+  TURRET_CHECK_MSG(!ip.from_start(), "injection point has no snapshot");
   const Bytes& blob = *ip.snapshot;
   Hasher128 hasher;
   hasher.update(BytesView{blob});
@@ -325,21 +350,23 @@ std::shared_ptr<const runtime::DecodedSnapshot> BranchExecutor::try_decoded(
 }
 
 BranchExecutor::BranchOutcome BranchExecutor::execute_branch(
-    const runtime::DecodedSnapshot& snap, const InjectionPoint& ip,
+    const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
     const proxy::MaliciousAction* action, int windows) const {
   ScenarioWorld w = make_scenario_world(sc_);
   w.testbed->emulator().set_event_budget(sc_.fault.max_branch_events);
-  w.testbed->load_snapshot(snap);
+  if (!ip.from_start()) w.testbed->load_snapshot(*snap);
   if (action != nullptr) w.proxy->arm(*action);
 
   const std::uint32_t crashed_before =
       static_cast<std::uint32_t>(w.testbed->crashed_nodes().size());
+  if (ip.from_start()) w.testbed->start();
   w.testbed->run_until(ip.time + windows * sc_.window);
 
   BranchOutcome out;
   for (int i = 0; i < windows; ++i) {
-    out.windows.push_back(measure(*w.testbed, ip.time + i * sc_.window,
-                                  ip.time + (i + 1) * sc_.window));
+    out.windows.push_back(measure_window(sc_.metric, *w.testbed,
+                                         ip.time + i * sc_.window,
+                                         ip.time + (i + 1) * sc_.window));
   }
   out.new_crashes =
       static_cast<std::uint32_t>(w.testbed->crashed_nodes().size()) -
@@ -353,16 +380,18 @@ BranchExecutor::BranchOutcome BranchExecutor::execute_branch(
 }
 
 BranchExecutor::BranchResult BranchExecutor::attempt_branch(
-    const runtime::DecodedSnapshot& snap, const InjectionPoint& ip,
+    const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
     const proxy::MaliciousAction* action, int windows) const {
   BranchResult r;
-  // The per-branch span: stamped with the branch's virtual extent (injection
-  // time, windows * window), so its content — and therefore the sorted trace
-  // — is identical whether the branch ran inline or on a pool worker.
+  // The per-branch span: stamped with the branch's virtual extent (from the
+  // injection time, or t = 0 without a snapshot, to the last window's end),
+  // so its content — and therefore the sorted trace — is identical whether
+  // the branch ran inline or on a pool worker.
   trace::Span span("search", "branch");
   if (trace::active()) {
-    span.at(ip.time)
-        .lasted(static_cast<Duration>(windows) * sc_.window)
+    const Duration length = run_length(sc_, ip, windows);
+    span.at(ip.time + static_cast<Duration>(windows) * sc_.window - length)
+        .lasted(length)
         .arg("message", ip.message_name)
         .arg("action",
              action != nullptr ? action->describe() : std::string("baseline"))
@@ -411,21 +440,30 @@ BranchExecutor::BranchResult BranchExecutor::attempt_branch(
   }
 }
 
-void BranchExecutor::charge_attempts(std::uint32_t attempts, int windows) {
+Duration BranchExecutor::attempt_cost(const InjectionPoint& ip,
+                                      int windows) const {
+  return load_cost(sc_, ip) + run_length(sc_, ip, windows);
+}
+
+void BranchExecutor::charge_attempts(const InjectionPoint& ip,
+                                     std::uint32_t attempts, int windows) {
+  // A run from t = 0 loads nothing: brute force's cost model is a full
+  // execution per branch attempt.
+  const std::uint32_t loads = ip.from_start() ? 0 : attempts;
+  const std::uint64_t exec =
+      static_cast<std::uint64_t>(attempts) * run_length(sc_, ip, windows);
   cost_.branches += attempts;
-  cost_.loads += attempts;
+  cost_.loads += loads;
   cost_.retries += attempts - 1;
-  cost_.snapshots += static_cast<Duration>(attempts) * sc_.branch_cost.load_cost;
-  cost_.execution += static_cast<Duration>(attempts) * windows * sc_.window;
+  cost_.snapshots += static_cast<Duration>(attempts) * load_cost(sc_, ip);
+  cost_.execution += static_cast<Duration>(exec);
   if (trace::active()) {
     // Mirrored at the exact cost-charging site so telemetry totals provably
     // equal SearchCost (asserted under faults by test_fault_tolerance).
     trace::Counters& c = trace::counters();
     c.branch_attempts.fetch_add(attempts, std::memory_order_relaxed);
     c.branch_retries.fetch_add(attempts - 1, std::memory_order_relaxed);
-    c.snapshot_loads.fetch_add(attempts, std::memory_order_relaxed);
-    const std::uint64_t exec =
-        static_cast<std::uint64_t>(attempts) * windows * sc_.window;
+    c.snapshot_loads.fetch_add(loads, std::memory_order_relaxed);
     (windows == 1 ? c.evaluate_ns : c.classify_ns)
         .fetch_add(exec, std::memory_order_relaxed);
   }
@@ -461,8 +499,8 @@ void BranchExecutor::record_failure(const InjectionPoint& ip,
 std::string BranchExecutor::branch_key(const InjectionPoint& ip,
                                        const proxy::MaliciousAction* action,
                                        int windows) {
-  return "b|" + std::to_string(ip.tag) + "|" + std::to_string(ip.time) + "|" +
-         std::to_string(windows) + "|" +
+  return (ip.from_start() ? "f|" : "b|") + std::to_string(ip.tag) +
+         "|" + std::to_string(ip.time) + "|" + std::to_string(windows) + "|" +
          (action != nullptr ? action->describe() : "-");
 }
 
@@ -474,14 +512,21 @@ BranchExecutor::BranchResult BranchExecutor::execute_unit(
   // merges this result through run_branches' bookkeeping loop, so the charge
   // site is the same one a local branch uses. A decode failure produces the
   // same quarantine record the local path would share across the batch.
+  if (ip.from_start()) return attempt_branch(nullptr, ip, action, windows);
   BranchResult decode_failure;
   const std::shared_ptr<const runtime::DecodedSnapshot> snap =
       try_decoded(ip, &decode_failure);
   if (snap == nullptr) return decode_failure;
-  return attempt_branch(*snap, ip, action, windows);
+  return attempt_branch(snap.get(), ip, action, windows);
 }
 
-/// What a PendingBatch shares with the branches it queued: each task writes
+namespace {
+/// Who runs an entry of a batch with a remote backend: whoever moves it off
+/// kFree first executes it.
+enum : std::uint8_t { kFree, kLocal, kRemote };
+}  // namespace
+
+/// What a PendingBatch shares with the tasks it queued: each task writes
 /// only its own `out` / `errors` slot, then counts itself finished under the
 /// executor's done_mu_, which also guards `in_flight`.
 struct BranchExecutor::PendingBatch::State {
@@ -492,6 +537,14 @@ struct BranchExecutor::PendingBatch::State {
   std::vector<bool> replayed;
   std::vector<std::string> errors;  ///< per entry: harness-level task failure
   std::size_t in_flight = 0;
+  /// With a remote backend: who runs each entry (kLocal or kRemote).
+  std::unique_ptr<std::atomic<std::uint8_t>[]> claims;
+  std::string remote_error;  ///< the shipment's harness-level failure
+
+  bool claim(std::size_t i, std::uint8_t by) {
+    std::uint8_t free = kFree;
+    return claims[i].compare_exchange_strong(free, by);
+  }
 };
 
 BranchExecutor::PendingBatch& BranchExecutor::PendingBatch::operator=(
@@ -529,6 +582,7 @@ BranchExecutor::PendingBatch::results() {
   for (const std::string& e : state_->errors) {
     if (!e.empty()) errors.push_back(e);
   }
+  if (!state_->remote_error.empty()) errors.push_back(state_->remote_error);
   if (!errors.empty()) throw AggregateBranchError(errors);
   return state_->out;
 }
@@ -594,92 +648,127 @@ BranchExecutor::PendingBatch BranchExecutor::submit_branches(
   }
   if (live.empty()) return batch;
 
-  BranchResult decode_failure;
-  const std::shared_ptr<const runtime::DecodedSnapshot> snap =
-      try_decoded(ip, &decode_failure);
-  if (snap == nullptr) {
-    // The injection point's snapshot is unusable: every pending branch
-    // inherits the decode failure as its quarantine record.
-    for (const std::size_t i : live) st.out[i] = decode_failure;
-    return batch;
-  }
-
-  // Remote dispatch: ship the live branches to the distributed backend when
-  // one is attached and reachable. Whatever it could not place (no workers,
-  // every worker died mid-batch) stays in `pending` and degrades to the
-  // local pool below — results are byte-identical either way, because
-  // workers run the same attempt_branch against the same decoded snapshot
-  // and the merge is input-order regardless. Provenance harvesting is
-  // in-process-only, so it forces local.
-  std::vector<std::size_t> pending = live;
-  if (remote_ != nullptr && provenance_ == nullptr && remote_->available()) {
-    const auto remote_out =
-        remote_->run_remote(ip, st.actions, live, windows, *snap);
-    TURRET_CHECK_MSG(remote_out.size() == live.size(),
-                     "remote backend returned a mismatched batch");
-    pending.clear();
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      if (remote_out[k].has_value()) {
-        st.out[live[k]] = *remote_out[k];
-      } else {
-        pending.push_back(live[k]);
-      }
+  // A point without a snapshot runs from t = 0: nothing to decode.
+  std::shared_ptr<const runtime::DecodedSnapshot> snap;
+  if (!ip.from_start()) {
+    BranchResult decode_failure;
+    snap = try_decoded(ip, &decode_failure);
+    if (snap == nullptr) {
+      // The injection point's snapshot is unusable: every pending branch
+      // inherits the decode failure as its quarantine record.
+      for (const std::size_t i : live) st.out[i] = decode_failure;
+      return batch;
     }
   }
-  if (remote_ != nullptr && !pending.empty() && trace::active()) {
+
+  // Remote dispatch: a remote backend, when attached, is handed every live
+  // branch while the local pool works the same batch; each branch runs
+  // wherever it is claimed first, and what the backend could not place (no
+  // workers, every worker died mid-batch) degrades to local. Results are
+  // byte-identical either way, because workers run the same attempt_branch
+  // against the same decoded snapshot and the merge is input-order
+  // regardless. Provenance harvesting is in-process-only, so it forces
+  // local.
+  const bool shared = remote_ != nullptr && provenance_ == nullptr;
+  if (remote_ != nullptr && !shared && trace::active()) {
     trace::counters().dist_local_fallbacks.fetch_add(
-        pending.size(), std::memory_order_relaxed);
+        live.size(), std::memory_order_relaxed);
   }
+  if (shared) st.claims = std::make_unique<std::atomic<std::uint8_t>[]>(n);
+  // The backend's share of the batch; returns the entries it did not run.
+  const auto ship = [this, state = batch.state_, snap, live] {
+    std::vector<std::size_t> local = live;
+    if (remote_->available()) {
+      const auto remote_out = remote_->run_remote(
+          state->ip, state->actions, live, state->windows, snap.get(),
+          [&](std::size_t k) { return state->claim(live[k], kRemote); });
+      TURRET_CHECK_MSG(remote_out.size() == live.size(),
+                       "remote backend returned a mismatched batch");
+      local.clear();
+      for (std::size_t k = 0; k < live.size(); ++k) {
+        if (remote_out[k].has_value()) {
+          state->out[live[k]] = *remote_out[k];
+        } else {
+          local.push_back(live[k]);
+        }
+      }
+    }
+    if (!local.empty() && trace::active()) {
+      trace::counters().dist_local_fallbacks.fetch_add(
+          local.size(), std::memory_order_relaxed);
+    }
+    return local;
+  };
 
   if (default_jobs() <= 1) {
     // One worker: the calling thread is it, and its branch time is that
     // worker's busy time.
+    const std::vector<std::size_t> local = shared ? ship() : live;
     const trace::BusyScope busy;
-    for (const std::size_t i : pending)
-      st.out[i] = attempt_branch(*snap, st.ip, st.actions[i], windows);
+    for (const std::size_t i : local)
+      st.out[i] = attempt_branch(snap.get(), st.ip, st.actions[i], windows);
     return batch;
   }
   // Even a one-branch batch is queued: the caller may be pipelining
-  // several batches, and an inline run would idle every other worker.
-  ThreadPool& workers = pool();
-  for (const std::size_t i : pending) {
-    // Counted before it is queued, so no drain can miss it.
-    {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      ++st.in_flight;
-    }
-    // Each task holds its own references to the batch state and the decoded
-    // snapshot: the decode cache may drop its entry before the task runs.
-    const auto task = [this, state = batch.state_, snap, i] {
-      BranchResult r;
-      std::string error;
-      try {
-        r = attempt_branch(*snap, state->ip, state->actions[i],
-                           state->windows);
-      } catch (const std::exception& e) {
-        error = e.what();
-      } catch (...) {
-        error = "unknown error";
-      }
-      {
-        std::lock_guard<std::mutex> lock(done_mu_);
-        state->out[i] = std::move(r);
-        state->errors[i] = std::move(error);
-        --state->in_flight;
-        ++finished_;
-      }
-      done_cv_.notify_all();
-    };
-    try {
-      workers.submit(task);
-    } catch (...) {
-      // Never queued: uncount it, or the batch's drain would wait forever.
-      std::lock_guard<std::mutex> lock(done_mu_);
-      --st.in_flight;
-      throw;
-    }
+  // several batches, and an inline run would idle every other worker. A
+  // task that must `claim` its entry stands down if the backend took it.
+  // Each task holds its own references to the batch state and the decoded
+  // snapshot: the decode cache may drop its entry before the task runs.
+  const auto queue = [this, workers = &pool(), state = batch.state_,
+                      snap](std::size_t i, bool claim) {
+    queue_task(*workers, state, &state->errors[i], [=, this] {
+      const trace::BusyScope busy;
+      if (!claim || state->claim(i, kLocal))
+        state->out[i] = attempt_branch(snap.get(), state->ip,
+                                       state->actions[i], state->windows);
+    });
+  };
+  for (const std::size_t i : live) queue(i, shared);
+  if (shared) {
+    // One dispatcher thread ships batches in submit order while the caller
+    // goes on, so the pool always has the next batches queued.
+    if (dispatcher_ == nullptr) dispatcher_ = std::make_unique<ThreadPool>(1);
+    queue_task(*dispatcher_, batch.state_, &st.remote_error,
+               [state = batch.state_, ship, queue] {
+                 // Claimed but never placed: its own task stood down.
+                 for (const std::size_t i : ship())
+                   if (state->claims[i].load() == kRemote) queue(i, false);
+               });
   }
   return batch;
+}
+
+void BranchExecutor::queue_task(
+    ThreadPool& on, const std::shared_ptr<PendingBatch::State>& state,
+    std::string* error, std::function<void()> body) {
+  // Counted before it is queued, so no drain can miss it.
+  {
+    std::lock_guard<std::mutex> lock(done_mu_);
+    ++state->in_flight;
+  }
+  const auto task = [this, state, error, body = std::move(body)] {
+    try {
+      body();
+    } catch (const std::exception& e) {
+      *error = e.what();
+    } catch (...) {
+      *error = "unknown error";
+    }
+    {
+      std::lock_guard<std::mutex> lock(done_mu_);
+      --state->in_flight;
+      ++finished_;
+    }
+    done_cv_.notify_all();
+  };
+  try {
+    on.submit(task);
+  } catch (...) {
+    // Never queued: uncount it, or the batch's drain would wait forever.
+    std::lock_guard<std::mutex> lock(done_mu_);
+    --state->in_flight;
+    throw;
+  }
 }
 
 std::vector<BranchExecutor::BranchResult> BranchExecutor::merge_branches(
@@ -697,7 +786,7 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::merge_branches(
   // runs account the same cost.
   for (std::size_t i = 0; i < st.actions.size(); ++i) {
     const BranchResult& r = st.out[i];
-    charge_attempts(r.attempts, st.windows);
+    charge_attempts(st.ip, r.attempts, st.windows);
     if (!r.ok()) record_failure(st.ip, st.actions[i], r);
     if (provenance_ != nullptr && r.ok() && r.outcome->provenance != nullptr) {
       provenance_->add(r.outcome->provenance);

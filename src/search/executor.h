@@ -8,6 +8,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -83,8 +84,7 @@ struct WindowPerf {
 
 /// Measure one observation window [t0, t1) of `tb` under `metric`: the damage
 /// value (rate / mean / quantile lower bound), the sample count, tamper
-/// totals, and — for value metrics — the percentile fields. Shared by
-/// BranchExecutor and brute force so every algorithm measures identically.
+/// totals, and — for value metrics — the percentile fields.
 WindowPerf measure_window(const MetricSpec& metric, const runtime::Testbed& tb,
                           Time t0, Time t1);
 
@@ -109,11 +109,16 @@ class BranchExecutor {
     wire::TypeTag tag = 0;
     std::string message_name;
     Time time = 0;  ///< virtual time of the snapshot (just after first send)
+    /// Null for a point reached by a full run from t = 0 (brute force): each
+    /// branch then builds a fresh world, arms its action before the testbed
+    /// starts and runs to time + windows * window.
     std::shared_ptr<const Bytes> snapshot;
     /// Pins the store pages `snapshot` references, so that
     /// evict_unreferenced_pages() between injection points never evicts a
     /// page a live (not yet decoded) blob still needs.
     std::shared_ptr<const std::vector<vm::PageHandle>> pages;
+
+    bool from_start() const { return snapshot == nullptr; }
   };
 
   struct BranchOutcome {
@@ -150,24 +155,28 @@ class BranchExecutor {
   void set_provenance(ProvenanceStore* store) { provenance_ = store; }
 
   /// Attach a remote execution backend (nullptr detaches). While attached and
-  /// available(), run_branches dispatches live branches to it instead of the
-  /// local pool; entries the backend could not place (no workers reachable,
+  /// available(), run_branches dispatches live branches to it while the
+  /// local pool works the same batch (each branch runs where it is claimed
+  /// first); entries the backend could not place (no workers reachable,
   /// every worker died) degrade to local execution. Remote dispatch is
   /// skipped while a provenance store is attached (provenance is harvested
   /// in-process); the batch then runs on the local pool with identical
   /// results.
   void set_remote(RemoteBackend* remote) { remote_ = remote; }
 
-  /// One contained branch execution against an already-decoded snapshot,
-  /// *without* cost charging, journaling, or failure recording — the worker
-  /// side of the distributed runtime. The coordinator merges the returned
-  /// BranchResult through run_branches' normal bookkeeping, so a branch
-  /// executed remotely charges and records exactly like a local one.
+  /// One contained branch execution from ip's snapshot (decoded through the
+  /// cache) or, without one, from t = 0, *without* cost charging,
+  /// journaling, or failure recording — the worker side of the distributed
+  /// runtime. The coordinator merges the returned BranchResult through
+  /// run_branches' normal bookkeeping, so a branch executed remotely charges
+  /// and records exactly like a local one.
   BranchResult execute_unit(const InjectionPoint& ip,
                             const proxy::MaliciousAction* action, int windows);
 
   /// Identity of one (injection point, action, windows) branch — the key the
-  /// journal and the provenance store share.
+  /// journal and the provenance store share. A run from t = 0 keys apart
+  /// from a snapshot branch with the same (tag, time, windows, action): it
+  /// arms before the testbed starts, so it also mutates pre-warmup sends.
   static std::string branch_key(const InjectionPoint& ip,
                                 const proxy::MaliciousAction* action,
                                 int windows);
@@ -179,11 +188,14 @@ class BranchExecutor {
 
   /// Benign pass: runs the system for sc.duration and snapshots at the first
   /// send (>= warmup) of each message type by a malicious node. Points come
-  /// back in first-send order. Idempotent (cached).
-  const std::vector<InjectionPoint>& discover();
+  /// back in first-send order. Idempotent (cached). With snapshots == false
+  /// nothing is held, saved or charged for saves: each point only records
+  /// the first-send time, and its branches run from t = 0.
+  const std::vector<InjectionPoint>& discover(bool snapshots = true);
 
   /// Branch from `ip`, arm `action` (nullptr = baseline branch) and run
-  /// `windows` observation windows of sc.window each. Charges load + runtime.
+  /// `windows` observation windows of sc.window each. Charges
+  /// attempt_cost(ip, windows) per attempt.
   /// Throws after retry exhaustion (use try_run_branch to contain instead).
   BranchOutcome run_branch(const InjectionPoint& ip,
                            const proxy::MaliciousAction* action, int windows);
@@ -237,10 +249,12 @@ class BranchExecutor {
       const std::vector<const proxy::MaliciousAction*>& actions, int windows);
 
   /// The first half of run_branches, on the calling thread: checks for
-  /// cancellation, replays journaled entries, decodes the snapshot (cached)
-  /// and queues the live branches on the pool. A remote backend runs its
-  /// share synchronously here; at default_jobs() == 1 the branches run
-  /// inline. `actions` must outlive the returned batch.
+  /// cancellation, replays journaled entries, decodes the snapshot (cached;
+  /// a point without one skips this) and queues the live branches on the
+  /// pool. A remote backend is handed the batch too: a dispatcher thread
+  /// ships it, in submit order, while the pool takes the branches not yet
+  /// shipped. At default_jobs() == 1 the backend's share and then the rest
+  /// run here, inline. `actions` must outlive the returned batch.
   PendingBatch submit_branches(
       const InjectionPoint& ip,
       std::vector<const proxy::MaliciousAction*> actions, int windows);
@@ -250,6 +264,11 @@ class BranchExecutor {
   /// the handle. Batches merged in the order a serial search would have run
   /// them produce its cost clock, failed() order and journal exactly.
   std::vector<BranchResult> merge_branches(PendingBatch& batch);
+
+  /// Virtual cost one attempt of a (ip, windows) branch charges: a snapshot
+  /// load plus the windows, or — for a point without a snapshot — the full
+  /// run from t = 0 to the end of the last window.
+  Duration attempt_cost(const InjectionPoint& ip, int windows) const;
 
   /// Branches of submitted batches that have finished so far. A scheduler
   /// juggling several batches reads this, polls ready(), and — when nothing
@@ -297,11 +316,10 @@ class BranchExecutor {
   void evict_unreferenced_pages();
 
  private:
-  WindowPerf measure(const runtime::Testbed& tb, Time t0, Time t1) const;
-
   /// One branch execution without cost accounting (the accounting is done by
-  /// the caller so batch and serial paths charge identically).
-  BranchOutcome execute_branch(const runtime::DecodedSnapshot& snap,
+  /// the caller so batch and serial paths charge identically). `snap` is the
+  /// decoded ip.snapshot, or null to run from t = 0.
+  BranchOutcome execute_branch(const runtime::DecodedSnapshot* snap,
                                const InjectionPoint& ip,
                                const proxy::MaliciousAction* action,
                                int windows) const;
@@ -309,14 +327,15 @@ class BranchExecutor {
   /// Containment loop around execute_branch: retries per sc.fault, converts
   /// every failure into a BranchResult. BudgetExceededError quarantines on
   /// the first hit (a deterministic runaway only reproduces under retry).
-  BranchResult attempt_branch(const runtime::DecodedSnapshot& snap,
+  BranchResult attempt_branch(const runtime::DecodedSnapshot* snap,
                               const InjectionPoint& ip,
                               const proxy::MaliciousAction* action,
                               int windows) const;
 
   /// Per-branch cost charges, multiplied out over retry attempts so replayed
   /// (journaled) and live branches account identically.
-  void charge_attempts(std::uint32_t attempts, int windows);
+  void charge_attempts(const InjectionPoint& ip, std::uint32_t attempts,
+                       int windows);
 
   void record_failure(const InjectionPoint& ip,
                       const proxy::MaliciousAction* action,
@@ -335,6 +354,12 @@ class BranchExecutor {
 
   /// Worker pool sized to default_jobs(), rebuilt when the knob changes.
   ThreadPool& pool();
+
+  /// Queue `body` on `on` as one more task of a batch, which does not
+  /// finish before it; whatever it throws lands in `*error`.
+  void queue_task(ThreadPool& on,
+                  const std::shared_ptr<PendingBatch::State>& state,
+                  std::string* error, std::function<void()> body);
 
   const Scenario& sc_;
   std::optional<std::vector<InjectionPoint>> points_;
@@ -366,6 +391,10 @@ class BranchExecutor {
   std::uint64_t finished_ = 0;
 
   std::unique_ptr<ThreadPool> pool_;
+  /// One thread that ships batches to the remote backend, in submit order,
+  /// while the caller goes on. Declared after pool_: its destructor still
+  /// runs queued shipments, which may queue branches on the pool.
+  std::unique_ptr<ThreadPool> dispatcher_;
   std::vector<FailedBranch> failed_;
   Journal* journal_ = nullptr;
   ProvenanceStore* provenance_ = nullptr;
@@ -381,24 +410,29 @@ class RemoteBackend {
   virtual ~RemoteBackend() = default;
 
   /// Is any worker reachable right now? Checked once per batch; false
-  /// degrades the whole batch to the local pool.
+  /// degrades the whole batch to the local pool. This and run_remote are
+  /// called from one thread at a time, not always the searching thread.
   virtual bool available() = 0;
 
   /// Execute the `live` subset of a batch remotely. Returns one entry per
   /// element of `live`, in the same order: a BranchResult when the branch ran
   /// (or was quarantined) remotely, nullopt when the unit could not be placed
-  /// — the executor runs those locally. `snap` is the decoded form of
-  /// ip.snapshot (already cached by the executor), from which cow page deltas
-  /// are extracted for shipping.
+  /// or the local pool took it — the executor runs those locally. `claim(k)`
+  /// must be called before live[k] is first shipped: false means the local
+  /// pool, which works the same batch meanwhile, already took the unit, and
+  /// the backend must skip it. `snap` is the decoded form of ip.snapshot
+  /// (already cached by the executor), from which cow page deltas are
+  /// extracted for shipping; null when ip has no snapshot (a run from t = 0
+  /// ships neither blob nor pages).
   virtual std::vector<std::optional<BranchExecutor::BranchResult>> run_remote(
       const BranchExecutor::InjectionPoint& ip,
       const std::vector<const proxy::MaliciousAction*>& actions,
       const std::vector<std::size_t>& live, int windows,
-      const runtime::DecodedSnapshot& snap) = 0;
+      const runtime::DecodedSnapshot* snap,
+      const std::function<bool(std::size_t)>& claim) = 0;
 };
 
-/// Journal payload encoding for one BranchResult (also used by brute force,
-/// whose full runs are two windows + a crash count in the same shape).
+/// Journal payload encoding for one BranchResult.
 Bytes encode_branch_result(const BranchExecutor::BranchResult& r);
 BranchExecutor::BranchResult decode_branch_result(BytesView payload);
 

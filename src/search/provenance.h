@@ -39,7 +39,7 @@ struct BranchProvenance {
 };
 
 /// Keyed store of harvested branches. Filled on the executor's single-threaded
-/// merge path (and brute force's merge loop), read by the generators.
+/// merge path, read by the generators.
 class ProvenanceStore {
  public:
   void add(std::shared_ptr<const BranchProvenance> p);

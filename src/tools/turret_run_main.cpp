@@ -64,11 +64,11 @@ void usage() {
                "                        (default: $TURRET_JOBS, else hardware\n"
                "                        concurrency; 1 = serial)\n"
                "  --workers <n>         distributed search: fork n worker\n"
-               "                        processes and shard branch batches\n"
-               "                        across them; results are byte-\n"
-               "                        identical to in-process at any n,\n"
+               "                        processes that share branch batches\n"
+               "                        with the --jobs pool; results are\n"
+               "                        byte-identical to in-process at any n,\n"
                "                        worker crashes included (branches are\n"
-               "                        reassigned). brute runs locally\n"
+               "                        reassigned)\n"
                "  --coordinator <port>  also accept external --connect workers\n"
                "                        on <port> (0 = ephemeral, printed at\n"
                "                        startup); combinable with --workers\n"
@@ -462,9 +462,6 @@ int main(int argc, char** argv) {
                      coord->connected_workers(), o.workers);
       }
     }
-    if (o.algorithm == "brute" && !o.json)
-      std::printf("note: brute force has no snapshots to ship; "
-                  "it runs in the local pool\n");
   }
 
   // Graceful shutdown: first SIGINT/SIGTERM requests cooperative
@@ -500,7 +497,8 @@ int main(int argc, char** argv) {
       res = search::greedy_search(sc, gopt, journal.get(), store_ptr,
                                   coord.get());
     } else if (o.algorithm == "brute") {
-      res = search::brute_force_search(sc, journal.get(), store_ptr);
+      res = search::brute_force_search(sc, journal.get(), store_ptr,
+                                       coord.get());
     } else {
       std::fprintf(stderr, "turret-run: unknown algorithm '%s'\n",
                    o.algorithm.c_str());

@@ -14,7 +14,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/rng.h"
@@ -57,6 +59,36 @@ const wire::Schema& focus_schema() {
   static const wire::Schema s = wire::parse_schema(kFocusSchema);
   return s;
 }
+
+// Four replica message types: brute force stops only between types, so a
+// cancel test needs more than two.
+constexpr char kFourTypeSchema[] = R"(
+protocol pbft;
+message Prepare = 3 {
+  u32   view;
+  u64   seq;
+  u32   replica;
+  bytes digest;
+}
+message Commit = 4 {
+  u32   view;
+  u64   seq;
+  u32   replica;
+  bytes digest;
+}
+message Checkpoint = 6 {
+  u64   seq;
+  u32   replica;
+  bytes state_digest;
+}
+message Status = 7 {
+  u32   view;
+  u32   replica;
+  u64   last_exec;
+  u64   stable_seq;
+  i32   n_pending;
+}
+)";
 
 Scenario pbft_scenario() {
   Scenario sc = systems::pbft::make_pbft_scenario();
@@ -225,6 +257,31 @@ TEST(DistProtocol, MessagesRoundTrip) {
   EXPECT_EQ(work2.pages[0].hash, 0xabcdefu);
   EXPECT_EQ(work2.pages[0].slot, 1u);
   EXPECT_EQ(work2.pages[0].content, d.content);
+  EXPECT_FALSE(work2.from_start);
+
+  // A brute-force unit runs from t = 0 and carries no snapshot.
+  dist::WorkMsg full;
+  full.unit = 32;
+  full.tag = 3;
+  full.message_name = "Prepare";
+  full.time = 1234567;
+  full.windows = 2;
+  full.has_action = true;
+  full.action = work.action;
+  full.from_start = true;
+  const Bytes full_bytes = full.encode();
+  const dist::WorkMsg full2 = dist::WorkMsg::decode(full_bytes);
+  EXPECT_EQ(full2.unit, 32u);
+  EXPECT_EQ(full2.tag, 3);
+  EXPECT_EQ(full2.message_name, "Prepare");
+  EXPECT_EQ(full2.time, 1234567);
+  EXPECT_EQ(full2.windows, 2);
+  ASSERT_TRUE(full2.has_action);
+  EXPECT_EQ(full2.action.describe(), work.action.describe());
+  EXPECT_TRUE(full2.from_start);
+  EXPECT_FALSE(full2.has_blob);
+  EXPECT_TRUE(full2.pages.empty());
+  EXPECT_LT(full_bytes.size(), work.encode().size());
 }
 
 TEST(DistProtocol, WorkMsgRejectsWrongPageSize) {
@@ -260,25 +317,42 @@ TEST(DistProtocol, ScenarioFingerprintSeparatesIncompatibleScenarios) {
 
 TEST(DistInProcess, OneThreadWorkerMatchesInProcess) {
   const Scenario sc = pbft_scenario();
-  const std::string ref = weighted_greedy_search(sc).to_json();
+  // Weighted greedy ships snapshot branches; brute force ships runs from
+  // t = 0 that carry no snapshot.
+  const std::vector<std::function<SearchResult(search::RemoteBackend*)>>
+      searches = {
+          [&](search::RemoteBackend* remote) {
+            return weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr,
+                                          remote);
+          },
+          [&](search::RemoteBackend* remote) {
+            return brute_force_search(sc, nullptr, nullptr, remote);
+          },
+      };
+  for (const auto& search : searches) {
+    const std::string ref = search(nullptr).to_json();
 
-  dist::Coordinator coord(sc, {});
-  dist::WorkerOptions wopt;
-  wopt.seed = 7;
-  wopt.exit_process_on_fault = false;  // thread mode
-  int rc = -1;
-  std::thread worker([&] {
-    rc = dist::run_worker(sc, "127.0.0.1", coord.port(), wopt);
-  });
-  ASSERT_TRUE(coord.wait_for_workers(1, 15'000'000'000));
-  const SearchResult res =
-      weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr, &coord);
-  coord.shutdown();
-  worker.join();
-  EXPECT_EQ(rc, dist::kWorkerClean);
-  EXPECT_EQ(res.to_json(), ref);
-  EXPECT_FALSE(res.attacks.empty())
-      << "scenario found no attacks; the determinism check would be vacuous";
+    dist::Coordinator coord(sc, {});
+    dist::WorkerOptions wopt;
+    wopt.seed = 7;
+    wopt.exit_process_on_fault = false;  // thread mode
+    int rc = -1;
+    std::thread worker([&] {
+      rc = dist::run_worker(sc, "127.0.0.1", coord.port(), wopt);
+    });
+    ASSERT_TRUE(coord.wait_for_workers(1, 15'000'000'000));
+    trace::ScopedTrace t(trace::Clock::kVirtual);
+    const SearchResult res = search(&coord);
+    const std::uint64_t merged =
+        trace::counters().dist_units_merged.load(std::memory_order_relaxed);
+    coord.shutdown();
+    worker.join();
+    EXPECT_EQ(rc, dist::kWorkerClean);
+    EXPECT_EQ(res.to_json(), ref) << res.algorithm;
+    EXPECT_GT(merged, 0u) << res.algorithm << ": no branch ran on the worker";
+    EXPECT_FALSE(res.attacks.empty())
+        << "scenario found no attacks; the determinism check would be vacuous";
+  }
 }
 
 TEST(DistInProcess, NoWorkersDegradesToLocal) {
@@ -425,6 +499,35 @@ TEST(DistChaos, FaultInjectedCrashesStayByteIdentical) {
       << "the crashed worker's lease should have been reassigned";
 }
 
+TEST(DistChaos, LoneWorkerDeathHandsItsUnitToThePool) {
+  // The only worker dies holding a unit: the coordinator claimed that unit
+  // before granting it, so the pool's own task for it already stood down,
+  // and the executor must queue it again locally.
+  const Scenario sc = pbft_scenario();
+  set_default_jobs(4);
+  const std::string ref = weighted_greedy_search(sc).to_json();
+
+  trace::ScopedTrace t(trace::Clock::kVirtual);
+  const std::uint64_t deaths_before =
+      trace::counters().dist_worker_deaths.load(std::memory_order_relaxed);
+  dist::Coordinator coord(sc, {});
+  dist::WorkerOptions die;
+  die.seed = 3;
+  die.faults = "dist-worker-exit:hit:1";
+  coord.spawn_workers(1, die);
+  ASSERT_TRUE(coord.wait_for_workers(1, 15'000'000'000));
+  const SearchResult res =
+      weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr, &coord);
+  coord.shutdown();
+  set_default_jobs(0);
+
+  EXPECT_EQ(res.to_json(), ref);
+  EXPECT_GE(
+      trace::counters().dist_worker_deaths.load(std::memory_order_relaxed),
+      deaths_before + 1)
+      << "the worker never took a unit; the check would be vacuous";
+}
+
 TEST(DistChaos, RealSigkillMidSearchStaysByteIdentical) {
   const Scenario sc = pbft_scenario();
   const std::string ref = weighted_greedy_search(sc).to_json();
@@ -474,46 +577,70 @@ TEST(DistChaos, RealSigkillMidSearchStaysByteIdentical) {
 TEST(GracefulShutdown, CancelThenResumeReproducesTheUninterruptedResult) {
   search::clear_cancel();
   const Scenario sc = pbft_scenario();
-  const std::string ref = weighted_greedy_search(sc).to_json();
+  // Weighted greedy on the pool; brute force with one job, where every
+  // branch runs inline on the searching thread.
+  static const wire::Schema four_types = wire::parse_schema(kFourTypeSchema);
+  Scenario brute_sc = pbft_scenario();
+  brute_sc.schema = &four_types;
+  struct Case {
+    unsigned jobs;
+    std::function<SearchResult(search::Journal*)> search;
+  };
+  const std::vector<Case> cases = {
+      {0,
+       [&](search::Journal* j) {
+         return weighted_greedy_search(sc, {}, nullptr, j);
+       }},
+      {1,
+       [&](search::Journal* j) { return brute_force_search(brute_sc, j); }},
+  };
+  for (const Case& c : cases) {
+    set_default_jobs(c.jobs);
+    const SearchResult full = c.search(nullptr);
+    const std::string ref = full.to_json();
 
-  const std::string jpath =
-      (std::filesystem::path(::testing::TempDir()) /
-       ("dist_cancel_" + std::to_string(::getpid()) + ".journal"))
-          .string();
-  std::remove(jpath.c_str());
+    const std::string jpath =
+        (std::filesystem::path(::testing::TempDir()) /
+         ("dist_cancel_" + std::to_string(::getpid()) + ".journal"))
+            .string();
+    std::remove(jpath.c_str());
 
-  // Cancel mid-search, but only after the first batch has reached the
-  // journal — a fixed sleep races the first append under sanitizer
-  // slowdowns. appended() is mutex-guarded, so polling it from this
-  // thread is safe; the search has many batches left at that point, so
-  // the cancel always lands before completion.
-  bool cancelled = false;
-  {
-    auto journal = search::Journal::open(jpath, false);
-    std::thread canceller([jp = journal.get()] {
-      while (jp->appended() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      search::request_cancel();
-    });
-    try {
-      weighted_greedy_search(sc, {}, nullptr, journal.get());
-    } catch (const search::CancelledError&) {
-      cancelled = true;
+    // Cancel mid-search, but only after the first batch has reached the
+    // journal — a fixed sleep races the first append under sanitizer
+    // slowdowns. appended() is mutex-guarded, so polling it from this
+    // thread is safe; the search has many batches left at that point, so
+    // the cancel always lands before completion.
+    bool cancelled = false;
+    {
+      auto journal = search::Journal::open(jpath, false);
+      std::thread canceller([jp = journal.get()] {
+        while (jp->appended() == 0)
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        search::request_cancel();
+      });
+      try {
+        c.search(journal.get());
+      } catch (const search::CancelledError&) {
+        cancelled = true;
+      }
+      canceller.join();
+      search::clear_cancel();
     }
-    canceller.join();
-    search::clear_cancel();
-  }
-  ASSERT_TRUE(cancelled)
-      << "search finished before the cancel landed; raise the workload";
+    ASSERT_TRUE(cancelled)
+        << full.algorithm
+        << ": search finished before the cancel landed; raise the workload";
 
-  // Resume must replay the journaled prefix and reproduce the uninterrupted
-  // result byte-for-byte.
-  auto journal = search::Journal::open(jpath, true);
-  EXPECT_GT(journal->recorded(), 0u) << "cancellation flushed no progress";
-  const SearchResult resumed =
-      weighted_greedy_search(sc, {}, nullptr, journal.get());
-  EXPECT_EQ(resumed.to_json(), ref);
-  std::remove(jpath.c_str());
+    // Resume must replay the journaled prefix and reproduce the
+    // uninterrupted result byte-for-byte.
+    auto journal = search::Journal::open(jpath, true);
+    EXPECT_GT(journal->recorded(), 0u)
+        << full.algorithm << ": cancellation flushed no progress";
+    const SearchResult resumed = c.search(journal.get());
+    EXPECT_GT(journal->replayed(), 0u) << full.algorithm;
+    EXPECT_EQ(resumed.to_json(), ref) << full.algorithm;
+    std::remove(jpath.c_str());
+  }
+  set_default_jobs(0);
 }
 
 // ---------------------------------------------------------------------------

@@ -760,8 +760,8 @@ TEST(FaultAcceptance, TelemetryCountersMatchResultUnderFaults) {
   }
 }
 
-// Same agreement for brute force, whose cost accounting bypasses
-// BranchExecutor (its merge loop charges SearchCost directly).
+// Same agreement for brute force, whose runs from t = 0 charge a full
+// execution per attempt at the same BranchExecutor charge site.
 TEST(FaultAcceptance, BruteForceTelemetryMatchesResultUnderFaults) {
   Scenario sc = pbft_scenario();
   sc.fault.max_retries = 2;

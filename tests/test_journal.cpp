@@ -122,6 +122,30 @@ TEST(Journal, ToleratesATruncatedTailRecord) {
   EXPECT_EQ(j->replay("c"), bytes_of("payload-c"));
 }
 
+TEST(Journal, FromStartAndSnapshotBranchKeysDiffer) {
+  // A run from t = 0 arms its action before the testbed starts, so it also
+  // mutates sends before the injection point: its journaled outcome must
+  // never replay for a snapshot branch of the same (tag, time, windows,
+  // action), nor the other way round.
+  BranchExecutor::InjectionPoint from_start;
+  from_start.tag = 3;
+  from_start.message_name = "Prepare";
+  from_start.time = 1234567;
+  BranchExecutor::InjectionPoint branched = from_start;
+  branched.snapshot = std::make_shared<const Bytes>(Bytes{1, 2, 3});
+  proxy::MaliciousAction drop;
+  drop.kind = proxy::ActionKind::kDrop;
+  drop.target_tag = 3;
+  drop.message_name = "Prepare";
+  const std::vector<const proxy::MaliciousAction*> actions = {nullptr, &drop};
+  for (const proxy::MaliciousAction* a : actions) {
+    for (const int windows : {1, 2}) {
+      EXPECT_NE(BranchExecutor::branch_key(from_start, a, windows),
+                BranchExecutor::branch_key(branched, a, windows));
+    }
+  }
+}
+
 TEST(Journal, BranchResultCodecRoundTrips) {
   BranchExecutor::BranchResult ok;
   ok.attempts = 3;

@@ -1,8 +1,8 @@
 // Parallel search determinism: for all three algorithms, a 1-worker run and
 // an N-worker run must produce byte-identical SearchResults — same attacks,
 // same order, same damage numbers, same cost accounting. This is the merge-
-// order guarantee of BranchExecutor::run_branches (and brute force's fan-out)
-// on a real system scenario (PBFT), not the toy ticker.
+// order guarantee of BranchExecutor::run_branches (brute force included) on
+// a real system scenario (PBFT), not the toy ticker.
 #include <gtest/gtest.h>
 #include <unistd.h>
 

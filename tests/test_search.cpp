@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "search/algorithms.h"
 #include "search/executor.h"
 
@@ -276,7 +277,19 @@ TEST(Greedy, CostsMoreThanWeighted) {
 
 TEST(BruteForce, FindsAttacksWithoutBranching) {
   const Scenario sc = toy_scenario();
-  const SearchResult res = brute_force_search(sc);
+  SearchResult res;
+  {
+    trace::ScopedTrace t(trace::Clock::kVirtual);
+    res = brute_force_search(sc);
+    // Every branch is a full run from t = 0: nothing is saved, decoded or
+    // loaded, not even through the executor's snapshot path.
+    const trace::Counters& c = trace::counters();
+    EXPECT_EQ(c.snapshot_saves.load(std::memory_order_relaxed), 0u);
+    EXPECT_EQ(c.snapshot_loads.load(std::memory_order_relaxed), 0u);
+    EXPECT_EQ(c.decode_hits.load(std::memory_order_relaxed), 0u);
+    EXPECT_EQ(c.decode_misses.load(std::memory_order_relaxed), 0u);
+    EXPECT_GT(c.branch_attempts.load(std::memory_order_relaxed), 0u);
+  }
   EXPECT_EQ(res.cost.saves, 0u);
   EXPECT_EQ(res.cost.loads, 0u);
   bool found_drop = false;
